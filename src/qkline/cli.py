@@ -8,7 +8,6 @@ Subcommands::
     qkline neighborhood X|Y --group A2 --parabolic "" --u 2 --k 1
 
 Exit codes: 0 on success, 1 when a check fails, 2 for usage or gate errors.
-The QKLINE_THREADS environment variable caps sweep parallelism.
 """
 
 from __future__ import annotations
@@ -46,10 +45,6 @@ def _engine(group: str) -> KTEngine:
     return KTEngine(rootsys.resolve_group(group))
 
 
-def _elt_str(value: RingElt, datum) -> str:
-    return repring.format_elt(value, datum)
-
-
 def _latex_elt(value: RingElt, datum) -> str:
     text = repring.format_elt(value, datum)
     return text.replace("a", "\\alpha_").replace("w", "\\omega_")
@@ -78,9 +73,8 @@ def cmd_table(req: TableRequest, out=None) -> int:
         pairs = []
         for us, vs in req.pairs:
             u, v = engine.W.parse_word(us), engine.W.parse_word(vs)
-            for x in (u, v):
-                if any(x.has_right_descent(i) for i in p):
-                    raise GateError(f"{x.word_str} is not a minimal representative for {sorted(p)}")
+            weyl.require_wp(u, p)
+            weyl.require_wp(v, p)
             pairs.append((u, v))
     products = [qklines.qk_product_degree1(engine, u, v, p) for u, v in pairs]
     skipped = sorted({k for prod in products for k in prod.skipped})
@@ -98,10 +92,6 @@ def cmd_table(req: TableRequest, out=None) -> int:
     return 0
 
 
-def _sorted_items(exp):
-    return sorted(exp.coeffs.items(), key=lambda kv: kv[0].sort_key)
-
-
 def _table_json(engine, req, products) -> str:
     datum = engine.datum
     payload = {
@@ -111,9 +101,9 @@ def _table_json(engine, req, products) -> str:
             {
                 "u": prod.u.word_str,
                 "v": prod.v.word_str,
-                "classical": [[w.word_str, repring.to_pairs(c, datum)] for w, c in _sorted_items(prod.classical)],
+                "classical": [[w.word_str, repring.to_pairs(c, datum)] for w, c in prod.classical.items_sorted()],
                 "quantum": {
-                    str(k): [[w.word_str, repring.to_pairs(c, datum)] for w, c in _sorted_items(exp)]
+                    str(k): [[w.word_str, repring.to_pairs(c, datum)] for w, c in exp.items_sorted()]
                     for k, exp in sorted(prod.quantum.items())
                 },
             }
@@ -128,12 +118,12 @@ def _table_text(engine, products) -> str:
     lines = []
     for prod in products:
         bits = [
-            f"{_coeff_wrap(_elt_str(c, datum))} O^{{{w.word_str}}}"
-            for w, c in _sorted_items(prod.classical)
+            f"{_coeff_wrap(repring.format_elt(c, datum))} O^{{{w.word_str}}}"
+            for w, c in prod.classical.items_sorted()
         ]
         for k, exp in sorted(prod.quantum.items()):
-            for w, c in _sorted_items(exp):
-                bits.append(f"{_coeff_wrap(_elt_str(c, datum))} q{k} O^{{{w.word_str}}}")
+            for w, c in exp.items_sorted():
+                bits.append(f"{_coeff_wrap(repring.format_elt(c, datum))} q{k} O^{{{w.word_str}}}")
         rhs = " + ".join(bits) if bits else "0"
         lines.append(f"O^{{{prod.u.word_str}}} * O^{{{prod.v.word_str}}} = {rhs}")
     return "\n".join(lines) + "\n"
@@ -144,10 +134,10 @@ def _table_latex(engine, products) -> str:
     rows = []
     for prod in products:
         terms = []
-        for w, c in _sorted_items(prod.classical):
+        for w, c in prod.classical.items_sorted():
             terms.append(_coeff_wrap(_latex_elt(c, datum)) + _latex_class(w.word_str))
         for k, exp in sorted(prod.quantum.items()):
-            for w, c in _sorted_items(exp):
+            for w, c in exp.items_sorted():
                 cls = "" if w is engine.W.identity else _latex_class(w.word_str)
                 terms.append(_coeff_wrap(_latex_elt(c, datum)) + f"q_{k}" + cls)
         rhs = "+".join(terms) if terms else "0"
@@ -165,7 +155,7 @@ def cmd_constant(args, out=None) -> int:
     v = engine.W.parse_word(args.v)
     w = engine.W.parse_word(args.w)
     const = qklines.qk_constant_general(engine, u, v, w, args.k, p)
-    out.write(f"{_elt_str(const.value, engine.datum)}\n")
+    out.write(f"{repring.format_elt(const.value, engine.datum)}\n")
     out.write(f"nonequivariant: {const.value.specialize_to_one()}\n")
     return 0
 
@@ -177,10 +167,9 @@ def cmd_neighborhood(args, out=None) -> int:
     u = engine.W.parse_word(args.u)
     image = qklines.curve_neighborhood(engine, args.side, u, args.k, p)
     side = args.side.upper()
-    kind = "X" if side == "X" else "Y"
     out.write(f"{image.word_str}\n")
     out.write(
-        f"degree-eps_{args.k} line neighborhood of {kind}({u.word_str}) is {kind}({image.word_str})\n"
+        f"degree-eps_{args.k} line neighborhood of {side}({u.word_str}) is {side}({image.word_str})\n"
     )
     return 0
 

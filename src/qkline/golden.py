@@ -30,7 +30,9 @@ def fixture_names() -> tuple[str, ...]:
 
 
 def load_fixture(group: str) -> dict:
-    name = _FIXTURES[group]
+    name = _FIXTURES.get(group)
+    if name is None:
+        raise ValueError(f"no golden fixture for {group!r}; available: {', '.join(fixture_names())}")
     text = resources.files("qkline.fixtures").joinpath(name).read_text(encoding="utf-8")
     return json.loads(text)
 
@@ -144,7 +146,8 @@ def _complete_by_symmetry(rows: list[GoldenRow], perm: dict[int, int], group) ->
     return out
 
 
-def check_golden_fixture(group: str, engine: KTEngine | None = None) -> GoldenResult:
+def _prepare(group: str, engine: KTEngine | None):
+    """Load, parse and symmetry-complete a fixture: (engine, rows, parabolic)."""
     fixture = load_fixture(group)
     datum = rootsys.named_datum(fixture["group"])
     engine = engine or KTEngine(datum)
@@ -153,7 +156,11 @@ def check_golden_fixture(group: str, engine: KTEngine | None = None) -> GoldenRe
     if symmetry:
         perm = {i + 1: s for i, s in enumerate(symmetry)}
         rows = _complete_by_symmetry(rows, perm, engine.W)
-    p = weyl.normalize_parabolic(datum, fixture["parabolic"])
+    return engine, rows, weyl.normalize_parabolic(datum, fixture["parabolic"])
+
+
+def check_golden_fixture(group: str, engine: KTEngine | None = None) -> GoldenResult:
+    engine, rows, p = _prepare(group, engine)
     result = GoldenResult(group)
     for row in rows:
         u = engine.W.parse_word(row.u)
@@ -184,15 +191,7 @@ def _compare_part(result, row, part, expected, got):
 def check_classical_fixture(group: str, engine: KTEngine | None = None) -> GoldenResult:
     """The q^0 part of the table against the classical engine alone (no
     quantum-layer code in the loop)."""
-    fixture = load_fixture(group)
-    datum = rootsys.named_datum(fixture["group"])
-    engine = engine or KTEngine(datum)
-    rows = _parse_rows(datum, fixture)
-    symmetry = fixture.get("mirror_symmetry")
-    if symmetry:
-        perm = {i + 1: s for i, s in enumerate(symmetry)}
-        rows = _complete_by_symmetry(rows, perm, engine.W)
-    p = weyl.normalize_parabolic(datum, fixture["parabolic"])
+    engine, rows, p = _prepare(group, engine)
     result = GoldenResult(group)
     for row in rows:
         u = engine.W.parse_word(row.u)

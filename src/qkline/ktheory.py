@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import repring, rootsys, weyl
-from .repring import RingElt, exact_divide
+from .repring import RingElt, accumulate, exact_divide
 from .rootsys import CartanDatum
 from .weyl import WeylElement, WeylGroup
 
@@ -201,13 +201,9 @@ class KTEngine:
                     f"restriction at {v.word_str} is not divisible by the diagonal value"
                 ) from None
             coeffs[v] = cv
+            neg_cv = -cv
             for w, ov in self.schubert_class(v).restrictions.items():
-                new = resid.get(w, None)
-                new = (new - cv * ov) if new is not None else (-cv) * ov
-                if new:
-                    resid[w] = new
-                else:
-                    resid.pop(w, None)
+                accumulate(resid, w, neg_cv * ov)
         if resid:
             bad = sorted(resid, key=lambda w: w.sort_key)
             raise ExpansionError(
@@ -221,23 +217,14 @@ class KTEngine:
         acc: dict[WeylElement, RingElt] = {}
         for w, cw in e.coeffs.items():
             for u, val in self.schubert_class(w).restrictions.items():
-                prev = acc.get(u)
-                nxt = cw * val if prev is None else prev + cw * val
-                if nxt:
-                    acc[u] = nxt
-                else:
-                    acc.pop(u, None)
+                accumulate(acc, u, cw * val)
         return KClass(self.datum, acc)
-
-    def _wp_check(self, u: WeylElement, p: frozenset[int]):
-        if not all(not u.has_right_descent(i) for i in p):
-            raise ValueError(f"{u.word_str} is not a minimal representative for the parabolic {sorted(p)}")
 
     def structure_constants(self, u: WeylElement, v: WeylElement, parabolic=()) -> SchubertExpansion:
         """All coefficients of O^u . O^v over the given quotient at once."""
         p = weyl.normalize_parabolic(self.datum, parabolic)
-        self._wp_check(u, p)
-        self._wp_check(v, p)
+        weyl.require_wp(u, p)
+        weyl.require_wp(v, p)
         if v.sort_key < u.sort_key:
             u, v = v, u
         key = (u, v, p)
@@ -258,13 +245,7 @@ class KTEngine:
         move = weyl.hecke_up if opposite else weyl.hecke_down
         out: dict[WeylElement, RingElt] = {}
         for w, cw in e.coeffs.items():
-            t = move(w, k)
-            nxt = out.get(t)
-            nxt = cw if nxt is None else nxt + cw
-            if nxt:
-                out[t] = nxt
-            else:
-                out.pop(t, None)
+            accumulate(out, move(w, k), cw)
         return SchubertExpansion(out, e.parabolic)
 
     def pushforward(self, e: SchubertExpansion, bigger) -> SchubertExpansion:
@@ -275,13 +256,7 @@ class KTEngine:
             raise ValueError("pushforward needs a containing parabolic")
         out: dict[WeylElement, RingElt] = {}
         for w, cw in e.coeffs.items():
-            t = weyl.min_coset_rep(w, q)
-            nxt = out.get(t)
-            nxt = cw if nxt is None else nxt + cw
-            if nxt:
-                out[t] = nxt
-            else:
-                out.pop(t, None)
+            accumulate(out, weyl.min_coset_rep(w, q), cw)
         return SchubertExpansion(out, q)
 
     def pullback(self, e: SchubertExpansion, smaller) -> SchubertExpansion:

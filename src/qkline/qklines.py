@@ -25,21 +25,17 @@ which this module exposes as an independent route for cross-checking.
 Admissibility is a hard gate: outside the admissible class the reduction to
 P_k fails (the comparison map of moduli spaces is not surjective), so every
 operation below refuses such input rather than extrapolate.
-
-Sweeps honor the QKLINE_THREADS environment variable; reports are sorted, so
-results do not depend on scheduling.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 
-from . import repring, rootsys, weyl
+from . import repring, weyl
 from .ktheory import KTEngine, SchubertExpansion
 from .repring import RingElt
-from .weyl import WeylElement, bruhat_leq, hecke_down, hecke_up, min_coset_rep
+from .weyl import WeylElement, bruhat_leq, hecke_down, hecke_up, min_coset_rep, require_wp
 
 
 class GateError(ValueError):
@@ -68,11 +64,6 @@ def require_admissible(datum, p, k):
     return p
 
 
-def _wp_check(u: WeylElement, p, what="argument"):
-    if not all(not u.has_right_descent(i) for i in p):
-        raise ValueError(f"{what} {u.word_str} is not a minimal representative for {sorted(p)}")
-
-
 # -- line neighborhoods and Richardson descriptors ------------------------------
 
 
@@ -97,7 +88,7 @@ def curve_neighborhood(engine: KTEngine, side: str, u: WeylElement, k: int, p=()
     """Index of the union of degree-eps_k lines through a Schubert variety:
     one Hecke move up (lower variety) or down (opposite variety)."""
     p = require_k_free(engine.datum, p, k)
-    _wp_check(u, p)
+    require_wp(u, p)
     side = side.upper()
     if side == "X":
         return hecke_up(u, k)
@@ -110,8 +101,8 @@ def projected_gw(engine: KTEngine, u: WeylElement, v: WeylElement, k: int, p=())
     """The image of the two-pointed line locus: top u^k against bottom v_k.
     The nonempty flag doubles as the test for existence of such lines."""
     p = require_k_free(engine.datum, p, k)
-    _wp_check(u, p)
-    _wp_check(v, p)
+    require_wp(u, p)
+    require_wp(v, p)
     return RichardsonDescriptor(hecke_up(u, k), hecke_down(v, k))
 
 
@@ -128,8 +119,8 @@ class BoundaryBounds:
 
 def boundary_projected_gw(engine: KTEngine, u: WeylElement, v: WeylElement, k: int, p=()) -> BoundaryBounds:
     p = require_k_free(engine.datum, p, k)
-    _wp_check(u, p)
-    _wp_check(v, p)
+    require_wp(u, p)
+    require_wp(v, p)
     inner = RichardsonDescriptor(u, v)
     outer = RichardsonDescriptor(hecke_up(u, k), hecke_down(v, k))
     if outer.top is u or outer.bottom is v:
@@ -146,8 +137,8 @@ def kgw3(engine: KTEngine, u: WeylElement, v: WeylElement, f: SchubertExpansion,
     """Three-point degree-eps_k invariant against an arbitrary class given by
     its Schubert expansion over the same quotient."""
     p = require_admissible(engine.datum, p, k)
-    _wp_check(u, p)
-    _wp_check(v, p)
+    require_wp(u, p)
+    require_wp(v, p)
     if not weyl.is_k_free(engine.datum, p, k):
         pk = weyl.build_Pk(engine.datum, p, k)
         return kgw3(engine, u, v, engine.pullback(f, pk), k, pk)
@@ -162,8 +153,8 @@ def kgw3(engine: KTEngine, u: WeylElement, v: WeylElement, f: SchubertExpansion,
 def kgw2(engine: KTEngine, z: WeylElement, w: WeylElement, k: int, p=()) -> RingElt:
     """Two-point invariant against the dual class: 1 exactly when z_k == w."""
     p = require_k_free(engine.datum, p, k)
-    _wp_check(z, p)
-    _wp_check(w, p)
+    require_wp(z, p)
+    require_wp(w, p)
     return engine.ring_one() if hecke_down(z, k) is w else engine.ring_zero()
 
 
@@ -184,7 +175,7 @@ def qk_constant_kfree(engine: KTEngine, u, v, w, k, p=()) -> QKConstant:
     c_{u_k,v_k}^w - [w has no descent at k] (c_{u,v}^{w s_k} + c_{u,v}^w)."""
     p = require_k_free(engine.datum, p, k)
     for x in (u, v, w):
-        _wp_check(x, p)
+        require_wp(x, p)
     val = engine.structure_constants(hecke_down(u, k), hecke_down(v, k), p).coeff(w)
     if not w.has_right_descent(k):
         cl = engine.structure_constants(u, v, p)
@@ -197,7 +188,7 @@ def qk_constant_divided_difference(engine: KTEngine, u, v, w, k, p=()) -> QKCons
     d_k(O^u) . d_k(O^v) - d_k(O^u . O^v)."""
     p = require_k_free(engine.datum, p, k)
     for x in (u, v, w):
-        _wp_check(x, p)
+        require_wp(x, p)
     first = engine.structure_constants(hecke_down(u, k), hecke_down(v, k), p)
     second = engine.divided_difference(engine.structure_constants(u, v, p), k)
     return QKConstant(u, v, w, k, first.coeff(w) - second.coeff(w))
@@ -207,25 +198,16 @@ def quantum_coefficients(engine: KTEngine, u, v, k, p=()) -> dict[WeylElement, R
     """All degree-eps_k constants N_{u,v}^{.,k} at once, by the two
     coset-fibre sums over the k-free reduction."""
     p = require_admissible(engine.datum, p, k)
-    _wp_check(u, p)
-    _wp_check(v, p)
+    require_wp(u, p)
+    require_wp(v, p)
     pk = weyl.build_Pk(engine.datum, p, k)
     acc: dict[WeylElement, RingElt] = {}
-
-    def bump(w, val):
-        nxt = acc.get(w)
-        nxt = val if nxt is None else nxt + val
-        if nxt:
-            acc[w] = nxt
-        else:
-            acc.pop(w, None)
-
     up = engine.structure_constants(hecke_down(u, k), hecke_down(v, k), pk)
     for a, cf in up.coeffs.items():
-        bump(min_coset_rep(a, p), cf)
+        repring.accumulate(acc, min_coset_rep(a, p), cf)
     cl = engine.structure_constants(u, v, pk)
     for b, cf in cl.coeffs.items():
-        bump(min_coset_rep(hecke_down(b, k), p), -cf)
+        repring.accumulate(acc, min_coset_rep(hecke_down(b, k), p), -cf)
     return acc
 
 
@@ -233,7 +215,7 @@ def qk_constant_general(engine: KTEngine, u, v, w, k, p=()) -> QKConstant:
     """Quantum constant for any admissible pair; agrees with the k-free
     formula whenever that one applies."""
     p = require_admissible(engine.datum, p, k)
-    _wp_check(w, p)
+    require_wp(w, p)
     coeffs = quantum_coefficients(engine, u, v, k, p)
     return QKConstant(u, v, w, k, coeffs.get(w, engine.ring_zero()))
 
@@ -255,8 +237,8 @@ def qk_product_degree1(engine: KTEngine, u, v, p=()) -> QKProduct:
     parabolic, the q_k-linear coefficients.  Non-admissible nodes are
     skipped and recorded."""
     p = weyl.normalize_parabolic(engine.datum, p)
-    _wp_check(u, p)
-    _wp_check(v, p)
+    require_wp(u, p)
+    require_wp(v, p)
     classical = engine.structure_constants(u, v, p)
     quantum: dict[int, SchubertExpansion] = {}
     skipped = []
@@ -278,7 +260,7 @@ def cor_xi_sum(engine: KTEngine, u, v, w, k, p, q) -> RingElt:
     if not q <= p:
         raise ValueError("the refinement must be contained in the parabolic")
     for x in (u, v, w):
-        _wp_check(x, p)
+        require_wp(x, p)
     consts = engine.structure_constants(hecke_down(u, k), hecke_down(v, k), q)
     total = engine.ring_zero()
     for z, cf in consts.coeffs.items():
@@ -319,28 +301,6 @@ class CheckReport:
         )
 
 
-def sweep_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("QKLINE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_pairs(fn, pairs):
-    """Apply fn over pairs, optionally on a thread pool (QKLINE_THREADS)."""
-    n = sweep_threads()
-    if n <= 1:
-        return [fn(x) for x in pairs]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, pairs))
-
-
-def _label(engine: KTEngine) -> str:
-    return str(engine.datum)
-
-
 def vanishing_check(engine: KTEngine, p, k) -> CheckReport:
     """All constants N_{u,v}^{.,k} vanish when u or v is already Hecke-fixed
     at k; sweeps every such pair of minimal representatives."""
@@ -353,16 +313,14 @@ def vanishing_check(engine: KTEngine, p, k) -> CheckReport:
         if hecke_down(u, k) is u or hecke_down(v, k) is v
     ]
 
-    def probe(pair):
-        u, v = pair
-        coeffs = quantum_coefficients(engine, u, v, k, p)
-        return [(u.word_str, v.word_str, w.word_str, repr(val)) for w, val in coeffs.items()]
-
-    witnesses = [w for ws in _map_pairs(probe, pairs) for w in ws]
-    witnesses.sort()
+    witnesses = sorted(
+        (u.word_str, v.word_str, w.word_str, repr(val))
+        for u, v in pairs
+        for w, val in quantum_coefficients(engine, u, v, k, p).items()
+    )
     return CheckReport(
         "vanishing",
-        _label(engine),
+        str(engine.datum),
         tuple(sorted(p)),
         k,
         "pass" if not witnesses else "fail",
@@ -378,21 +336,17 @@ def sign_check(engine: KTEngine, p, k) -> CheckReport:
     reps = weyl.enumerate_wp(engine.W, p)
     pairs = [(u, v) for u in reps for v in reps if u.sort_key <= v.sort_key]
 
-    def probe(pair):
-        u, v = pair
-        bad = []
+    witnesses = []
+    for u, v in pairs:
         for w, val in quantum_coefficients(engine, u, v, k, p).items():
             n = val.specialize_to_one()
             sign = 1 if (u.length + v.length - w.length) % 2 == 0 else -1
             if sign * n < 0:
-                bad.append((u.word_str, v.word_str, w.word_str, str(n)))
-        return bad
-
-    witnesses = [w for ws in _map_pairs(probe, pairs) for w in ws]
+                witnesses.append((u.word_str, v.word_str, w.word_str, str(n)))
     witnesses.sort()
     return CheckReport(
         "sign",
-        _label(engine),
+        str(engine.datum),
         tuple(sorted(p)),
         k,
         "pass" if not witnesses else "fail",
@@ -432,7 +386,7 @@ def equivariant_positivity_diagnostic(engine: KTEngine, p, k) -> CheckReport:
     nonconforming.sort()
     return CheckReport(
         "equivariant-positivity",
-        _label(engine),
+        str(engine.datum),
         tuple(sorted(p)),
         k,
         "diagnostic",
@@ -447,7 +401,7 @@ def peterson_check(engine: KTEngine, p, k, u, v, w) -> CheckReport:
     and with the longest-element twist of the third index."""
     p = require_admissible(engine.datum, p, k)
     for x in (u, v, w):
-        _wp_check(x, p)
+        require_wp(x, p)
     one = engine.ring_one()
     lhs = kgw3(engine, u, v, SchubertExpansion({w: one}, p), k, p)
     borel = frozenset()
@@ -458,7 +412,7 @@ def peterson_check(engine: KTEngine, p, k, u, v, w) -> CheckReport:
     ok = lhs == mid == rhs
     return CheckReport(
         "peterson",
-        _label(engine),
+        str(engine.datum),
         tuple(sorted(p)),
         k,
         "pass" if ok else "fail",

@@ -20,6 +20,7 @@ proves there is no quotient and raises :class:`NotDivisible`.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from . import rootsys
@@ -94,12 +95,7 @@ class RingElt:
     def from_terms(rank: int, items) -> "RingElt":
         terms: dict[int, int] = {}
         for coords, coeff in items:
-            key = _pack(rank, tuple(coords))
-            val = terms.get(key, 0) + int(coeff)
-            if val:
-                terms[key] = val
-            else:
-                terms.pop(key, None)
+            accumulate(terms, _pack(rank, tuple(coords)), int(coeff))
         return RingElt(rank, terms)
 
     # -- inspection -----------------------------------------------------------
@@ -117,8 +113,6 @@ class RingElt:
     def __eq__(self, other):
         if isinstance(other, RingElt):
             return self.rank == other.rank and self._terms == other._terms
-        if isinstance(other, int):
-            return self == RingElt.monomial(self.rank, (0,) * self.rank, other)
         return NotImplemented
 
     def __hash__(self):
@@ -212,25 +206,19 @@ class RingElt:
         rank = self.rank
         out: dict[int, int] = {}
         for k, c in self._terms.items():
-            key = _pack(rank, fn(_unpack(rank, k)))
-            out[key] = out.get(key, 0) + c
-        return RingElt(rank, {k: c for k, c in out.items() if c})
+            accumulate(out, _pack(rank, fn(_unpack(rank, k))), c)
+        return RingElt(rank, out)
 
 
-def zero(rank: int) -> RingElt:
-    return RingElt.zero(rank)
-
-
-def one(rank: int) -> RingElt:
-    return RingElt.one(rank)
-
-
-def monomial(rank: int, coords, coeff: int = 1) -> RingElt:
-    return RingElt.monomial(rank, coords, coeff)
-
-
-def specialize_to_one(a: RingElt) -> int:
-    return a.specialize_to_one()
+def accumulate(acc: dict, key, val) -> None:
+    """``acc[key] += val``, dropping the entry when it cancels to zero; the
+    values are ring elements or integers."""
+    prev = acc.get(key)
+    nxt = val if prev is None else prev + val
+    if nxt:
+        acc[key] = nxt
+    else:
+        acc.pop(key, None)
 
 
 def weyl_act(w, a: RingElt) -> RingElt:
@@ -318,20 +306,9 @@ def rewrite_in_shifted_basis(a: RingElt, datum: CartanDatum) -> dict[tuple[int, 
         for ks in itertools.product(*(range(x + 1) for x in m)):
             mult = 1
             for mi, ki in zip(m, ks):
-                mult *= _binom(mi, ki)
-            v = out.get(ks, 0) + coeff * mult
-            if v:
-                out[ks] = v
-            else:
-                del out[ks]
+                mult *= math.comb(mi, ki)
+            accumulate(out, ks, coeff * mult)
     return out
-
-
-@lru_cache(maxsize=None)
-def _binom(n: int, k: int) -> int:
-    from math import comb
-
-    return comb(n, k)
 
 
 # -- serialization and printing ------------------------------------------------

@@ -19,6 +19,7 @@ All data is immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -139,24 +140,10 @@ def _symmetrizer_from_matrix(a) -> tuple[int, ...]:
                     stack.append(j)
                 elif d[j] != val:
                     raise CartanError("no consistent symmetrizer exists")
-    denom_lcm = 1
-    for x in d:
-        denom_lcm = _lcm(denom_lcm, x.denominator)
+    denom_lcm = math.lcm(*(x.denominator for x in d))
     ints = [int(x * denom_lcm) for x in d]
-    g = 0
-    for x in ints:
-        g = _gcd(g, x)
+    g = math.gcd(*ints)
     return tuple(x // g for x in ints)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // _gcd(a, b)
 
 
 def cartan_datum(matrix, symmetrizer=None, label=None) -> CartanDatum:
@@ -413,20 +400,6 @@ def root_pairing(datum: CartanDatum, gamma, beta) -> int:
     d = datum.symmetrizer
     a = datum.cartan
     num = sum(d[i] * a[i][j] * gamma[i] * beta[j] for i in range(n) for j in range(n))
-    den = sum(d[i] * a[i][j] * beta[i] * beta[j] for i in range(n) for j in range(n))
-    q, r = divmod(2 * num, den)
-    if r:
-        raise ValueError("pairing is not integral; beta is not a root")
-    return q
-
-
-def weight_coroot_pairing(datum: CartanDatum, weight_coords, beta) -> int:
-    """<lam, beta^vee> for lam in fundamental-weight coords, beta a root in
-    simple-root coords."""
-    d = datum.symmetrizer
-    n = datum.rank
-    a = datum.cartan
-    num = sum(d[i] * weight_coords[i] * beta[i] for i in range(n))
     den = sum(d[i] * a[i][j] * beta[i] * beta[j] for i in range(n) for j in range(n))
     q, r = divmod(2 * num, den)
     if r:

@@ -180,8 +180,9 @@ class WeylGroup:
     def intern(self, table) -> WeylElement:
         el = self._intern.get(table)
         if el is None:
-            el = WeylElement(self, table)
-            self._intern[table] = el
+            # setdefault on a tuple key is atomic under the GIL: a thread that
+            # loses the race returns the winner's element, so equality stays identity
+            el = self._intern.setdefault(table, WeylElement(self, table))
         return el
 
     def simple(self, k: int) -> WeylElement:
@@ -277,13 +278,15 @@ def normalize_parabolic(datum: CartanDatum, nodes) -> frozenset[int]:
     return p
 
 
-def _in_wp(w: WeylElement, p: frozenset[int]) -> bool:
+def in_wp(w: WeylElement, p: frozenset[int]) -> bool:
     """w in W^P iff w(alpha_i) > 0 for every i in Delta_P."""
     return all(not w.has_right_descent(i) for i in p)
 
 
-def multiply(w: WeylElement, v: WeylElement) -> WeylElement:
-    return w * v
+def require_wp(w: WeylElement, p: frozenset[int]) -> None:
+    """Raise ValueError unless w is a minimal coset representative for p."""
+    if not in_wp(w, p):
+        raise ValueError(f"{w.word_str} is not a minimal representative for {sorted(p)}")
 
 
 def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
@@ -325,7 +328,7 @@ def min_coset_rep(w: WeylElement, p) -> WeylElement:
 def enumerate_wp(group: WeylGroup, p) -> tuple[WeylElement, ...]:
     """All minimal coset representatives W^P, sorted by (length, word)."""
     p = normalize_parabolic(group.datum, p)
-    return tuple(w for w in group.elements() if _in_wp(w, p))
+    return tuple(w for w in group.elements() if in_wp(w, p))
 
 
 def hecke_down(w: WeylElement, k: int) -> WeylElement:
@@ -403,6 +406,5 @@ def schubert_preimage(u: WeylElement, q, p) -> WeylElement:
     p = normalize_parabolic(group.datum, p)
     if not p <= q:
         raise ValueError("preimage needs nested parabolic sets P <= Q")
-    if not _in_wp(u, q):
-        raise ValueError("u must be a minimal coset representative for Q")
+    require_wp(u, q)
     return min_coset_rep(u * longest_element(group, q), p)

@@ -3,9 +3,10 @@ recomputation (caches are append-only with value-identical entries)."""
 
 import itertools
 import random
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from qkline import KTEngine, named_datum
+from qkline import KTEngine, WeylGroup, named_datum, weyl
 
 
 def test_shared_engine_concurrent_reads_match_serial():
@@ -32,3 +33,38 @@ def test_shared_engine_concurrent_reads_match_serial():
             uw, vw = job
             want = {w.word_str: c for w, c in expected[(uw, vw)].items()}
             assert got == want
+
+
+def test_intern_race_returns_one_element(monkeypatch):
+    """Two threads interning the same table must get the same object; the
+    first construction is held open so the second intern lands inside it."""
+    datum = named_datum("A2")
+    table = WeylGroup(datum).from_word([1, 2]).table
+    W = WeylGroup(datum)  # fresh group: the table is not interned yet
+    entered, release = threading.Event(), threading.Event()
+    real = weyl.WeylElement
+
+    class BlockFirst(real):
+        __slots__ = ()
+        blocked = False
+
+        def __init__(self, group, tbl):
+            if not BlockFirst.blocked:
+                BlockFirst.blocked = True
+                entered.set()
+                release.wait(timeout=10)
+            super().__init__(group, tbl)
+
+    monkeypatch.setattr(weyl, "WeylElement", BlockFirst)
+    got = []
+    thread = threading.Thread(target=lambda: got.append(W.intern(table)))
+    thread.start()
+    try:
+        assert entered.wait(timeout=10)
+        mine = W.intern(table)
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert len(got) == 1 and got[0] is mine
+    assert W.intern(table) is mine

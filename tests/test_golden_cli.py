@@ -179,6 +179,12 @@ def test_cli_check_golden(capsys):
     assert a2["details"]["misprint_corrections"] == [["121", "121", "2", "21"]]
 
 
+def test_cli_check_golden_without_fixture(capsys):
+    code, out, err = run_cli(capsys, "check", "--suite", "golden", "--group", "B3")
+    assert code == 2 and out == ""
+    assert "no golden fixture for 'B3'" in err and "A2, C2" in err
+
+
 def test_cli_check_suites_on_small_group(capsys):
     code, out, _ = run_cli(capsys, "check", "--suite", "vanishing", "--group", "A2")
     assert code == 0

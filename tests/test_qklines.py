@@ -376,12 +376,3 @@ def test_report_json_lines(engine):
     assert parsed["status"] == "pass"
     assert parsed["group"] == "A2"
 
-
-def test_threads_env_produces_same_report(engine, monkeypatch):
-    e = engine("C2")
-    baseline = vanishing_check(e, (), 2)
-    monkeypatch.setenv("QKLINE_THREADS", "4")
-    threaded = vanishing_check(e, (), 2)
-    assert threaded == baseline
-    monkeypatch.setenv("QKLINE_THREADS", "not-a-number")
-    assert vanishing_check(e, (), 2) == baseline

@@ -56,6 +56,12 @@ def test_add_negate():
     assert (a + 3) - 3 == a
 
 
+def test_equality_with_int_agrees_with_hash():
+    # equal objects must hash equal, or sets and dicts keep both
+    a, b = RingElt.one(2), 1
+    assert a != b or hash(a) == hash(b)
+
+
 def test_rank_mismatch_raises():
     with pytest.raises(ValueError):
         RingElt.one(1) + RingElt.one(2)
