@@ -1,4 +1,6 @@
-"""Command-line frontend.
+"""Command-line frontend: parses arguments and prints what the library
+returns.  Every check report is built by :mod:`qkline.qklines` (the sweeps)
+or :mod:`qkline.golden` (the transcribed tables).
 
 Subcommands::
 
@@ -15,20 +17,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import golden, qklines, repring, rootsys, weyl
 from .ktheory import KTEngine
 from .qklines import GateError
 from .repring import RingElt
-
-
-@dataclass(frozen=True)
-class TableRequest:
-    group: str
-    parabolic: tuple[int, ...]
-    pairs: tuple[tuple[str, str], ...] | None  # None means every nontrivial pair
-    format: str = "text"
 
 
 def _parse_parabolic(text: str) -> tuple[int, ...]:
@@ -62,20 +55,19 @@ def _coeff_wrap(text: str) -> str:
     return text
 
 
-def cmd_table(req: TableRequest, out=None) -> int:
-    out = out or sys.stdout
-    engine = _engine(req.group)
-    p = weyl.normalize_parabolic(engine.datum, req.parabolic)
-    reps = [w for w in weyl.enumerate_wp(engine.W, p) if w is not engine.W.identity]
-    if req.pairs is None:
+def cmd_table(args) -> int:
+    if (args.u is None) != (args.v is None):
+        raise GateError("--u and --v must be given together")
+    parabolic = _parse_parabolic(args.parabolic)
+    engine = _engine(args.group)
+    p = weyl.normalize_parabolic(engine.datum, parabolic)
+    if args.u is None:
+        reps = [w for w in weyl.enumerate_wp(engine.W, p) if w is not engine.W.identity]
         pairs = [(u, v) for i, u in enumerate(reps) for v in reps[i:]]
     else:
-        pairs = []
-        for us, vs in req.pairs:
-            u, v = engine.W.parse_word(us), engine.W.parse_word(vs)
-            weyl.require_wp(u, p)
-            weyl.require_wp(v, p)
-            pairs.append((u, v))
+        pairs = [(engine.W.parse_word(args.u), engine.W.parse_word(args.v))]
+        for w in pairs[0]:
+            weyl.require_wp(w, p)
     products = [qklines.qk_product_degree1(engine, u, v, p) for u, v in pairs]
     skipped = sorted({k for prod in products for k in prod.skipped})
     if skipped:
@@ -83,20 +75,20 @@ def cmd_table(req: TableRequest, out=None) -> int:
             "note: skipped non-admissible quantum nodes " + ", ".join(map(str, skipped)),
             file=sys.stderr,
         )
-    if req.format == "json":
-        out.write(_table_json(engine, req, products) + "\n")
-    elif req.format == "latex":
-        out.write(_table_latex(engine, products))
+    if args.format == "json":
+        sys.stdout.write(_table_json(engine, parabolic, products) + "\n")
+    elif args.format == "latex":
+        sys.stdout.write(_table_latex(engine, products))
     else:
-        out.write(_table_text(engine, products))
+        sys.stdout.write(_table_text(engine, products))
     return 0
 
 
-def _table_json(engine, req, products) -> str:
+def _table_json(engine, parabolic, products) -> str:
     datum = engine.datum
     payload = {
         "group": str(datum),
-        "parabolic": sorted(req.parabolic),
+        "parabolic": sorted(parabolic),
         "rows": [
             {
                 "u": prod.u.word_str,
@@ -113,17 +105,24 @@ def _table_json(engine, req, products) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def _terms(prod):
+    """(k, w, coefficient) for every term of a product: the classical terms
+    first (k is None), then the q_k-linear terms by increasing k."""
+    for w, c in prod.classical.items_sorted():
+        yield None, w, c
+    for k, exp in sorted(prod.quantum.items()):
+        for w, c in exp.items_sorted():
+            yield k, w, c
+
+
 def _table_text(engine, products) -> str:
     datum = engine.datum
     lines = []
     for prod in products:
-        bits = [
-            f"{_coeff_wrap(repring.format_elt(c, datum))} O^{{{w.word_str}}}"
-            for w, c in prod.classical.items_sorted()
-        ]
-        for k, exp in sorted(prod.quantum.items()):
-            for w, c in exp.items_sorted():
-                bits.append(f"{_coeff_wrap(repring.format_elt(c, datum))} q{k} O^{{{w.word_str}}}")
+        bits = []
+        for k, w, c in _terms(prod):
+            q = "" if k is None else f"q{k} "
+            bits.append(f"{_coeff_wrap(repring.format_elt(c, datum))} {q}O^{{{w.word_str}}}")
         rhs = " + ".join(bits) if bits else "0"
         lines.append(f"O^{{{prod.u.word_str}}} * O^{{{prod.v.word_str}}} = {rhs}")
     return "\n".join(lines) + "\n"
@@ -134,12 +133,10 @@ def _table_latex(engine, products) -> str:
     rows = []
     for prod in products:
         terms = []
-        for w, c in prod.classical.items_sorted():
-            terms.append(_coeff_wrap(_latex_elt(c, datum)) + _latex_class(w.word_str))
-        for k, exp in sorted(prod.quantum.items()):
-            for w, c in exp.items_sorted():
-                cls = "" if w is engine.W.identity else _latex_class(w.word_str)
-                terms.append(_coeff_wrap(_latex_elt(c, datum)) + f"q_{k}" + cls)
+        for k, w, c in _terms(prod):
+            q = "" if k is None else f"q_{k}"
+            cls = "" if q and w is engine.W.identity else _latex_class(w.word_str)  # a bare q_k for O^{id}
+            terms.append(_coeff_wrap(_latex_elt(c, datum)) + q + cls)
         rhs = "+".join(terms) if terms else "0"
         rows.append(
             f"  {_latex_class(prod.u.word_str)}\\circ {_latex_class(prod.v.word_str)} &\\equiv {rhs}\\\\"
@@ -147,134 +144,44 @@ def _table_latex(engine, products) -> str:
     return "\\begin{align*}\n" + "\n".join(rows) + "\n\\end{align*}\n"
 
 
-def cmd_constant(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_constant(args) -> int:
     engine = _engine(args.group)
     p = _parse_parabolic(args.parabolic)
     u = engine.W.parse_word(args.u)
     v = engine.W.parse_word(args.v)
     w = engine.W.parse_word(args.w)
     const = qklines.qk_constant_general(engine, u, v, w, args.k, p)
-    out.write(f"{repring.format_elt(const.value, engine.datum)}\n")
-    out.write(f"nonequivariant: {const.value.specialize_to_one()}\n")
+    print(repring.format_elt(const.value, engine.datum))
+    print(f"nonequivariant: {const.value.specialize_to_one()}")
     return 0
 
 
-def cmd_neighborhood(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_neighborhood(args) -> int:
     engine = _engine(args.group)
     p = _parse_parabolic(args.parabolic)
     u = engine.W.parse_word(args.u)
     image = qklines.curve_neighborhood(engine, args.side, u, args.k, p)
     side = args.side.upper()
-    out.write(f"{image.word_str}\n")
-    out.write(
-        f"degree-eps_{args.k} line neighborhood of {side}({u.word_str}) is {side}({image.word_str})\n"
-    )
+    print(image.word_str)
+    print(f"degree-eps_{args.k} line neighborhood of {side}({u.word_str}) is {side}({image.word_str})")
     return 0
 
 
-def _iter_admissible(engine, p):
-    for k in range(1, engine.rank + 1):
-        if k in p:
-            continue
-        if weyl.in_class_P(engine.datum, p, k):
-            yield k
-
-
-def cmd_check(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_check(args) -> int:
     suite = args.suite
-    failures = 0
     reports = []
-
-    def run_group_suites(group: str, parabolic, which: str):
-        nonlocal failures
-        engine = _engine(group)
-        p = weyl.normalize_parabolic(engine.datum, parabolic)
-        if which in ("vanishing", "all"):
-            for k in _iter_admissible(engine, p):
-                reports.append(qklines.vanishing_check(engine, p, k))
-        if which in ("sign", "all"):
-            for k in _iter_admissible(engine, p):
-                if weyl.is_k_free(engine.datum, p, k):
-                    reports.append(qklines.sign_check(engine, p, k))
-        if which in ("peterson", "all"):
-            reps = weyl.enumerate_wp(engine.W, p)
-            for k in _iter_admissible(engine, p):
-                for u in reps:
-                    for v in reps:
-                        for w in reps:
-                            rep = qklines.peterson_check(engine, p, k, u, v, w)
-                            if not rep.passed:
-                                reports.append(rep)
-                reports.append(
-                    qklines.CheckReport(
-                        "peterson", str(engine.datum), tuple(sorted(p)), k, "pass", (),
-                        {"triples_checked": len(reps) ** 3},
-                    )
-                )
-        if which in ("gkm", "all"):
-            reports.append(_gkm_report(engine))
-
     if suite in ("golden", "all"):
-        groups = [args.group] if args.group and suite == "golden" else list(golden.fixture_names())
-        for g in groups:
-            res = golden.check_golden_fixture(g)
-            status = "pass" if res.passed else "fail"
-            details = {"rows": res.rows_checked}
-            if res.corrections_used:
-                details["misprint_corrections"] = [list(map(str, c)) for c in res.corrections_used]
-            reports.append(
-                qklines.CheckReport(
-                    "golden", g, (), None, status,
-                    tuple(tuple(map(str, m)) for m in res.mismatches[:8]), details,
-                )
-            )
-
+        labels = [args.group] if args.group and suite == "golden" else golden.fixture_names()
+        reports += [golden.golden_report(g) for g in labels]
     if suite != "golden":
-        if not args.group:
-            if suite == "all":
-                for g in ("A2", "C2"):
-                    run_group_suites(g, _parse_parabolic(args.parabolic), "all")
-            else:
-                raise GateError(f"suite {suite!r} needs --group")
-        else:
-            run_group_suites(args.group, _parse_parabolic(args.parabolic), suite)
-
+        if not args.group and suite != "all":
+            raise GateError(f"suite {suite!r} needs --group")
+        parabolic = _parse_parabolic(args.parabolic)
+        for g in [args.group] if args.group else golden.fixture_names():
+            reports += qklines.run_suite(_engine(g), parabolic, suite)
     for rep in reports:
-        if not rep.passed:
-            failures += 1
-        out.write(rep.to_json() + "\n")
-    return 1 if failures else 0
-
-
-def _gkm_report(engine) -> qklines.CheckReport:
-    bad = []
-    elements = engine.W.elements()
-    for v in elements:
-        cls = engine.schubert_class(v)
-        for w, beta in engine.gkm_violations(cls):
-            bad.append((v.word_str, "class", w.word_str, str(beta.coords)))
-        for w, val in cls.restrictions.items():
-            if not weyl.bruhat_leq(v, w):
-                bad.append((v.word_str, "triangularity", w.word_str, ""))
-        if cls.value(v) != engine.diagonal_value(v):
-            bad.append((v.word_str, "diagonal", v.word_str, ""))
-    for i, u in enumerate(elements):
-        for v in elements[i:]:
-            prod = engine.multiply(engine.schubert_class(u), engine.schubert_class(v))
-            for w, beta in engine.gkm_violations(prod):
-                bad.append((u.word_str, v.word_str, w.word_str, str(beta.coords)))
-            if len(bad) > 8:
-                break
-        if len(bad) > 8:
-            break
-    return qklines.CheckReport(
-        "gkm", str(engine.datum), (), None,
-        "pass" if not bad else "fail", tuple(bad[:8]),
-        {"classes": len(elements)},
-    )
+        print(rep.to_json())
+    return 0 if all(rep.passed for rep in reports) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,44 +201,33 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--u", default=None)
     t.add_argument("--v", default=None)
     t.add_argument("--format", choices=("text", "json", "latex"), default="text")
+    t.set_defaults(run=cmd_table)
 
     c = sub.add_parser("constant", help="one quantum structure constant")
     common(c, need_k=True, need_words=("u", "v", "w"))
+    c.set_defaults(run=cmd_constant)
 
     ch = sub.add_parser("check", help="verification sweeps")
     ch.add_argument("--suite", required=True, choices=("vanishing", "sign", "peterson", "golden", "gkm", "all"))
     ch.add_argument("--group", default=None)
     ch.add_argument("--parabolic", default="")
+    ch.set_defaults(run=cmd_check)
 
     n = sub.add_parser("neighborhood", help="line neighborhood of a Schubert variety")
     n.add_argument("side", choices=("X", "Y", "x", "y"))
     common(n, need_k=True, need_words=("u",))
+    n.set_defaults(run=cmd_neighborhood)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "table":
-            pairs = None
-            if args.u is not None or args.v is not None:
-                if args.u is None or args.v is None:
-                    raise GateError("--u and --v must be given together")
-                pairs = ((args.u, args.v),)
-            req = TableRequest(args.group, _parse_parabolic(args.parabolic), pairs, args.format)
-            return cmd_table(req)
-        if args.command == "constant":
-            return cmd_constant(args)
-        if args.command == "check":
-            return cmd_check(args)
-        if args.command == "neighborhood":
-            return cmd_neighborhood(args)
+        return args.run(args)
     except (GateError, rootsys.CartanError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")  # pragma: no cover
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from importlib import resources
 
 from . import repring, rootsys, weyl
 from .ktheory import KTEngine
-from .qklines import qk_product_degree1
+from .qklines import CheckReport, qk_product_degree1
 from .repring import RingElt
 
 _FIXTURES = {"A2": "sl3_table.json", "C2": "sp4_table.json"}
@@ -30,7 +30,7 @@ def fixture_names() -> tuple[str, ...]:
 
 
 def load_fixture(group: str) -> dict:
-    name = _FIXTURES.get(group)
+    name = _FIXTURES.get(group.strip().upper())  # case-blind, as rootsys.named_datum is
     if name is None:
         raise ValueError(f"no golden fixture for {group!r}; available: {', '.join(fixture_names())}")
     text = resources.files("qkline.fixtures").joinpath(name).read_text(encoding="utf-8")
@@ -147,7 +147,8 @@ def _complete_by_symmetry(rows: list[GoldenRow], perm: dict[int, int], group) ->
 
 
 def _prepare(group: str, engine: KTEngine | None):
-    """Load, parse and symmetry-complete a fixture: (engine, rows, parabolic)."""
+    """Load, parse and symmetry-complete a fixture: (engine, rows, parabolic,
+    an empty result under the fixture's own group label)."""
     fixture = load_fixture(group)
     datum = rootsys.named_datum(fixture["group"])
     engine = engine or KTEngine(datum)
@@ -156,12 +157,11 @@ def _prepare(group: str, engine: KTEngine | None):
     if symmetry:
         perm = {i + 1: s for i, s in enumerate(symmetry)}
         rows = _complete_by_symmetry(rows, perm, engine.W)
-    return engine, rows, weyl.normalize_parabolic(datum, fixture["parabolic"])
+    return engine, rows, weyl.normalize_parabolic(datum, fixture["parabolic"]), GoldenResult(str(datum))
 
 
 def check_golden_fixture(group: str, engine: KTEngine | None = None) -> GoldenResult:
-    engine, rows, p = _prepare(group, engine)
-    result = GoldenResult(group)
+    engine, rows, p, result = _prepare(group, engine)
     for row in rows:
         u = engine.W.parse_word(row.u)
         v = engine.W.parse_word(row.v)
@@ -180,6 +180,17 @@ def check_golden_fixture(group: str, engine: KTEngine | None = None) -> GoldenRe
     return result
 
 
+def golden_report(group: str) -> CheckReport:
+    """check_golden_fixture as a check report: the first eight mismatches,
+    and every misprint correction that was applied."""
+    res = check_golden_fixture(group)
+    details = {"rows": res.rows_checked}
+    if res.corrections_used:
+        details["misprint_corrections"] = [list(map(str, c)) for c in res.corrections_used]
+    status = "pass" if res.passed else "fail"
+    return CheckReport("golden", res.group, (), None, status, tuple(res.mismatches[:8]), details)
+
+
 def _compare_part(result, row, part, expected, got):
     for w in sorted(set(expected) | set(got)):
         e = expected.get(w)
@@ -191,8 +202,7 @@ def _compare_part(result, row, part, expected, got):
 def check_classical_fixture(group: str, engine: KTEngine | None = None) -> GoldenResult:
     """The q^0 part of the table against the classical engine alone (no
     quantum-layer code in the loop)."""
-    engine, rows, p = _prepare(group, engine)
-    result = GoldenResult(group)
+    engine, rows, p, result = _prepare(group, engine)
     for row in rows:
         u = engine.W.parse_word(row.u)
         v = engine.W.parse_word(row.v)

@@ -128,6 +128,7 @@ class KTEngine:
             return got
         w0 = self.W.longest()
         if v is w0:
+            self.W.elements()  # refuses a group too large to enumerate before any class is built
             cls = KClass(self.datum, {w0: self.diagonal_value(w0)})
         else:
             k = next(i for i in range(1, self.rank + 1) if not v.has_right_descent(i))
@@ -194,15 +195,16 @@ class KTEngine:
             val = resid.get(v)
             if not val:
                 continue
+            cls = self.schubert_class(v)
             try:
-                cv = exact_divide(val, self.diagonal_value(v))
+                cv = exact_divide(val, cls.restrictions[v])  # the diagonal value O^v|_v
             except repring.NotDivisible:
                 raise ExpansionError(
                     f"restriction at {v.word_str} is not divisible by the diagonal value"
                 ) from None
             coeffs[v] = cv
             neg_cv = -cv
-            for w, ov in self.schubert_class(v).restrictions.items():
+            for w, ov in cls.restrictions.items():
                 accumulate(resid, w, neg_cv * ov)
         if resid:
             bad = sorted(resid, key=lambda w: w.sort_key)

@@ -29,8 +29,9 @@ operation below refuses such input rather than extrapolate.
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import repring, weyl
 from .ktheory import KTEngine, SchubertExpansion
@@ -301,6 +302,14 @@ class CheckReport:
         )
 
 
+def _report(check, engine: KTEngine, p, k, witnesses, details) -> CheckReport:
+    """Every sweep's report: the witnesses sorted and the first eight kept; it
+    fails exactly when a witness exists."""
+    witnesses = sorted(witnesses)
+    status = "fail" if witnesses else "pass"
+    return CheckReport(check, str(engine.datum), tuple(sorted(p)), k, status, tuple(witnesses[:8]), details)
+
+
 def vanishing_check(engine: KTEngine, p, k) -> CheckReport:
     """All constants N_{u,v}^{.,k} vanish when u or v is already Hecke-fixed
     at k; sweeps every such pair of minimal representatives."""
@@ -312,47 +321,35 @@ def vanishing_check(engine: KTEngine, p, k) -> CheckReport:
         for v in reps
         if hecke_down(u, k) is u or hecke_down(v, k) is v
     ]
-
-    witnesses = sorted(
+    witnesses = [
         (u.word_str, v.word_str, w.word_str, repr(val))
         for u, v in pairs
         for w, val in quantum_coefficients(engine, u, v, k, p).items()
-    )
-    return CheckReport(
-        "vanishing",
-        str(engine.datum),
-        tuple(sorted(p)),
-        k,
-        "pass" if not witnesses else "fail",
-        tuple(witnesses[:8]),
-        {"pairs_checked": len(pairs)},
-    )
+    ]
+    return _report("vanishing", engine, p, k, witnesses, {"pairs_checked": len(pairs)})
+
+
+def _signed_constants(engine: KTEngine, p, k):
+    """(u, v, w, N_{u,v}^{w,k}, (-1)^{l(u)+l(v)-l(w)}) for every pair u <= v
+    of minimal representatives and every w in the support."""
+    reps = weyl.enumerate_wp(engine.W, p)
+    for i, u in enumerate(reps):
+        for v in reps[i:]:
+            for w, val in quantum_coefficients(engine, u, v, k, p).items():
+                yield u, v, w, val, -1 if (u.length + v.length - w.length) % 2 else 1
 
 
 def sign_check(engine: KTEngine, p, k) -> CheckReport:
     """Alternation of the nonequivariant constants for a k-free parabolic,
     with the quantum-parameter degree equal to 2."""
     p = require_k_free(engine.datum, p, k)
-    reps = weyl.enumerate_wp(engine.W, p)
-    pairs = [(u, v) for u in reps for v in reps if u.sort_key <= v.sort_key]
-
-    witnesses = []
-    for u, v in pairs:
-        for w, val in quantum_coefficients(engine, u, v, k, p).items():
-            n = val.specialize_to_one()
-            sign = 1 if (u.length + v.length - w.length) % 2 == 0 else -1
-            if sign * n < 0:
-                witnesses.append((u.word_str, v.word_str, w.word_str, str(n)))
-    witnesses.sort()
-    return CheckReport(
-        "sign",
-        str(engine.datum),
-        tuple(sorted(p)),
-        k,
-        "pass" if not witnesses else "fail",
-        tuple(witnesses[:8]),
-        {"pairs_checked": len(pairs)},
-    )
+    n = len(weyl.enumerate_wp(engine.W, p))
+    witnesses = [
+        (u.word_str, v.word_str, w.word_str, str(val.specialize_to_one()))
+        for u, v, w, val, sign in _signed_constants(engine, p, k)
+        if sign * val.specialize_to_one() < 0
+    ]
+    return _report("sign", engine, p, k, witnesses, {"pairs_checked": n * (n + 1) // 2})
 
 
 def equivariant_positivity_diagnostic(engine: KTEngine, p, k) -> CheckReport:
@@ -360,39 +357,22 @@ def equivariant_positivity_diagnostic(engine: KTEngine, p, k) -> CheckReport:
     nonnegative coefficients in the shifted variables e^{-alpha_i} - 1
     restricted to nodes outside the parabolic.  Reported, never failed."""
     p = require_k_free(engine.datum, p, k)
-    reps = weyl.enumerate_wp(engine.W, p)
-    outside = set(range(1, engine.rank + 1)) - p
     conforming = 0
     nonconforming = []
-    for u in reps:
-        for v in reps:
-            if v.sort_key < u.sort_key:
-                continue
-            for w, val in quantum_coefficients(engine, u, v, k, p).items():
-                sign = 1 if (u.length + v.length - w.length) % 2 == 0 else -1
-                adjusted = val * sign
-                try:
-                    poly = repring.rewrite_in_shifted_basis(adjusted, engine.datum)
-                except repring.NotInSubring:
-                    nonconforming.append((u.word_str, v.word_str, w.word_str, "not in subring"))
-                    continue
-                uses_inside = any(
-                    e and (i + 1) not in outside for ks in poly for i, e in enumerate(ks)
-                )
-                if uses_inside or any(c < 0 for c in poly.values()):
-                    nonconforming.append((u.word_str, v.word_str, w.word_str, repr(val)))
-                else:
-                    conforming += 1
-    nonconforming.sort()
-    return CheckReport(
-        "equivariant-positivity",
-        str(engine.datum),
-        tuple(sorted(p)),
-        k,
-        "diagnostic",
-        tuple(nonconforming[:8]),
-        {"conforming": conforming, "nonconforming": len(nonconforming)},
-    )
+    for u, v, w, val, sign in _signed_constants(engine, p, k):
+        try:
+            poly = repring.rewrite_in_shifted_basis(val * sign, engine.datum)
+        except repring.NotInSubring:
+            nonconforming.append((u.word_str, v.word_str, w.word_str, "not in subring"))
+            continue
+        uses_inside = any(e and i + 1 in p for ks in poly for i, e in enumerate(ks))
+        if uses_inside or any(c < 0 for c in poly.values()):
+            nonconforming.append((u.word_str, v.word_str, w.word_str, repr(val)))
+        else:
+            conforming += 1
+    details = {"conforming": conforming, "nonconforming": len(nonconforming)}
+    report = _report("equivariant-positivity", engine, p, k, nonconforming, details)
+    return replace(report, status="diagnostic")  # reported, never failed
 
 
 def peterson_check(engine: KTEngine, p, k, u, v, w) -> CheckReport:
@@ -410,12 +390,62 @@ def peterson_check(engine: KTEngine, p, k, u, v, w) -> CheckReport:
     twisted = w * weyl.longest_element(engine.W, pk)
     rhs = kgw3(engine, u, v, SchubertExpansion({twisted: one}, borel), k, borel)
     ok = lhs == mid == rhs
-    return CheckReport(
-        "peterson",
-        str(engine.datum),
-        tuple(sorted(p)),
-        k,
-        "pass" if ok else "fail",
-        () if ok else ((u.word_str, v.word_str, w.word_str, repr(lhs), repr(mid), repr(rhs)),),
-        {"u": u.word_str, "v": v.word_str, "w": w.word_str},
-    )
+    witnesses = [] if ok else [(u.word_str, v.word_str, w.word_str, repr(lhs), repr(mid), repr(rhs))]
+    return _report("peterson", engine, p, k, witnesses, {"u": u.word_str, "v": v.word_str, "w": w.word_str})
+
+
+def peterson_sweep(engine: KTEngine, p, k) -> list[CheckReport]:
+    """peterson_check on every triple of minimal representatives: the reports
+    of the failing triples, then one summary counting the triples."""
+    p = require_admissible(engine.datum, p, k)
+    reps = weyl.enumerate_wp(engine.W, p)
+    reports = []
+    for u, v, w in itertools.product(reps, repeat=3):
+        rep = peterson_check(engine, p, k, u, v, w)
+        if not rep.passed:
+            reports.append(rep)
+    reports.append(_report("peterson", engine, p, k, (), {"triples_checked": len(reps) ** 3}))
+    return reports
+
+
+def gkm_check(engine: KTEngine) -> CheckReport:
+    """The moment-graph property of the full flag manifold: edge divisibility,
+    triangularity and the diagonal formula of every Schubert class, then edge
+    divisibility of every product of two classes until nine witnesses."""
+    bad = []
+    elements = engine.W.elements()
+    for v in elements:
+        cls = engine.schubert_class(v)
+        for w, beta in engine.gkm_violations(cls):
+            bad.append((v.word_str, "class", w.word_str, str(beta.coords)))
+        for w in cls.restrictions:
+            if not bruhat_leq(v, w):
+                bad.append((v.word_str, "triangularity", w.word_str, ""))
+        if cls.value(v) != engine.diagonal_value(v):
+            bad.append((v.word_str, "diagonal", v.word_str, ""))
+    for u, v in itertools.combinations_with_replacement(elements, 2):
+        prod = engine.multiply(engine.schubert_class(u), engine.schubert_class(v))
+        for w, beta in engine.gkm_violations(prod):
+            bad.append((u.word_str, v.word_str, w.word_str, str(beta.coords)))
+        if len(bad) > 8:
+            break
+    return _report("gkm", engine, (), None, bad, {"classes": len(elements)})
+
+
+def run_suite(engine: KTEngine, p, suite: str) -> list[CheckReport]:
+    """The reports of one suite on one group and parabolic: vanishing, sign
+    and peterson once per admissible node k (sign only where P is k-free),
+    gkm once; "all" runs the four in that order."""
+    p = weyl.normalize_parabolic(engine.datum, p)
+    nodes = [k for k in range(1, engine.rank + 1) if k not in p and weyl.in_class_P(engine.datum, p, k)]
+    per_node = {
+        "vanishing": lambda k: [vanishing_check(engine, p, k)],
+        "sign": lambda k: [sign_check(engine, p, k)] if weyl.is_k_free(engine.datum, p, k) else [],
+        "peterson": lambda k: peterson_sweep(engine, p, k),
+    }
+    reports = [
+        rep for name, run in per_node.items() if suite in (name, "all") for k in nodes for rep in run(k)
+    ]
+    if suite in ("gkm", "all"):
+        reports.append(gkm_check(engine))
+    return reports

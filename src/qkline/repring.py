@@ -6,7 +6,8 @@ floating point is used anywhere.
 
 Internally each exponent vector is packed into a single integer whose
 natural ordering realizes graded-lex order on exponents (total degree field
-first, then the coordinates, each shifted by a fixed offset).  Packing is
+first, then the coordinates, each shifted by a fixed offset into a 24-bit
+field; a coordinate outside ``[-2**23, 2**23)`` is refused).  Packing is
 additive, so ``e^lam * e^mu`` is one integer addition; it also makes the
 leading-term scans of exact division cheap.  The packing is an internal
 detail: the public API speaks exponent tuples.
@@ -53,6 +54,8 @@ def _pack(rank: int, coords) -> int:
     shifts, deg_shift, _, _ = _codec(rank)
     key = (sum(coords) + _DEG_OFF) << deg_shift
     for c, s in zip(coords, shifts):
+        if not -_COORD_OFF <= c < _COORD_OFF:
+            raise ValueError(f"exponent {tuple(coords)} has a coordinate outside [-2**23, 2**23)")
         key += (c + _COORD_OFF) << s
     return key
 

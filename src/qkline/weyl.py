@@ -19,10 +19,19 @@ writers at worst repeat work.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 
 from . import rootsys
 from .rootsys import CartanDatum
+
+
+# Largest |W| that WeylGroup.elements() enumerates.  A Schubert class is a
+# function on all of W, so the classes of a group this size already hold
+# millions of ring elements.  The demos and the benchmark enumerate at most
+# D4 (192), the tests D5 (1,920); A6 (5,040) still fits, while A7 (40,320),
+# E6 (51,840) and E8 (696,729,600) are refused.
+MAX_ELEMENTS = 10_000
 
 
 class GroupMismatchError(ValueError):
@@ -243,8 +252,14 @@ class WeylGroup:
         return " ".join(str(k) for k in w.word)
 
     def elements(self) -> tuple[WeylElement, ...]:
-        """All of W, sorted by (length, lex-minimal word)."""
+        """All of W, sorted by (length, lex-minimal word); a group with more
+        than MAX_ELEMENTS elements raises ValueError instead."""
         if self._elements is None:
+            if self.order > MAX_ELEMENTS:
+                raise ValueError(
+                    f"the Weyl group of {self.datum} has {self.order:,} elements, "
+                    f"more than the {MAX_ELEMENTS:,} this engine enumerates"
+                )
             seen = {self.identity}
             frontier = [self.identity]
             while frontier:
@@ -262,7 +277,14 @@ class WeylGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements())
+        """|W| = prod (m + 1) over the exponents m, read off the positive-root
+        heights without enumerating W: exponent m occurs n_m - n_{m+1} times,
+        where n_m is the number of positive roots of height m."""
+        heights = Counter(sum(beta) for beta in self.positive_root_coords)
+        order = 1
+        for m, n in heights.items():
+            order *= (m + 1) ** (n - heights[m + 1])
+        return order
 
     def longest(self) -> WeylElement:
         return longest_element(self, range(1, self.rank + 1))

@@ -185,6 +185,29 @@ def test_cli_check_golden_without_fixture(capsys):
     assert "no golden fixture for 'B3'" in err and "A2, C2" in err
 
 
+def test_cli_check_golden_group_label_ignores_case(capsys):
+    code, out, _ = run_cli(capsys, "check", "--suite", "golden", "--group", "a2")
+    assert code == 0
+    assert [json.loads(line)["group"] for line in out.splitlines()] == ["A2"]
+    assert check_golden_fixture(" c2 ").group == "C2"
+
+
+def test_cli_refuses_groups_too_large_to_enumerate(tmp_path, capsys, monkeypatch):
+    from qkline import weyl
+
+    monkeypatch.setattr(weyl, "MAX_ELEMENTS", 100)
+    # a D4 Cartan file is a group of its own, so no other test has enumerated it
+    path = tmp_path / "d4.txt"
+    path.write_text("4\n2 -1 0 0\n-1 2 -1 -1\n0 -1 2 0\n0 -1 0 2\n")
+    code, out, err = run_cli(capsys, "table", "--group", str(path), "--parabolic", "2,3,4")
+    assert code == 2 and out == ""
+    assert "has 192 elements" in err
+    code, out, err = run_cli(
+        capsys, "constant", "--group", str(path), "--u", "1", "--v", "1", "--w", "e", "--k", "1"
+    )
+    assert code == 2 and "has 192 elements" in err
+
+
 def test_cli_check_suites_on_small_group(capsys):
     code, out, _ = run_cli(capsys, "check", "--suite", "vanishing", "--group", "A2")
     assert code == 0

@@ -372,3 +372,15 @@ def test_brion_sign_alternation_small(engine):
             for w, c in e.structure_constants(u, v).coeffs.items():
                 sign = (-1) ** (u.length + v.length - w.length)
                 assert sign * c.specialize_to_one() >= 0
+
+
+def test_expand_divides_by_the_stored_diagonal(monkeypatch):
+    # diagonal_value seeds the Demazure recursion once; expand reads O^v|_v
+    # from the memoised class instead of rebuilding it at every basis step
+    e = KTEngine(named_datum("A3"))
+    calls = []
+    real = KTEngine.diagonal_value
+    monkeypatch.setattr(KTEngine, "diagonal_value", lambda self, v: calls.append(v) or real(self, v))
+    s1, s2 = e.W.simple(1), e.W.simple(2)
+    assert e.structure_constants(s1, s2).coeffs
+    assert calls == [e.W.longest()]

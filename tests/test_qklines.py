@@ -376,3 +376,46 @@ def test_report_json_lines(engine):
     assert parsed["status"] == "pass"
     assert parsed["group"] == "A2"
 
+
+
+def test_peterson_sweep_reports_failures_then_summary(engine, monkeypatch):
+    from qkline import qklines
+
+    e = engine("A2")
+    reps = weyl.enumerate_wp(e.W, {2})
+    calls = []
+    real = qklines.peterson_check
+
+    def counted(*args):
+        calls.append(args[3:])
+        return real(*args)
+
+    monkeypatch.setattr(qklines, "peterson_check", counted)
+    reports = qklines.peterson_sweep(e, {2}, 1)
+    assert calls == list(itertools.product(reps, repeat=3))  # once per triple
+    assert [(r.check, r.status, r.details) for r in reports] == [
+        ("peterson", "pass", {"triples_checked": len(reps) ** 3})
+    ]
+
+
+def test_sweep_reports_keep_eight_sorted_witnesses(engine):
+    from qkline import qklines
+
+    rep = qklines._report("demo", engine("A2"), {2}, 1, [(str(i),) for i in range(12, 0, -1)], {})
+    assert rep.status == "fail" and rep.parabolic == (2,)
+    assert rep.witnesses == tuple((w,) for w in sorted(str(i) for i in range(1, 13))[:8])
+
+
+def test_gkm_check_and_suite_order(engine):
+    from qkline import qklines
+
+    e = engine("A2")
+    gkm = qklines.gkm_check(e)
+    assert (gkm.check, gkm.status, gkm.parabolic, gkm.k) == ("gkm", "pass", (), None)
+    assert gkm.details == {"classes": 6}
+    reports = qklines.run_suite(e, (), "all")
+    assert [(r.check, r.k) for r in reports] == [
+        ("vanishing", 1), ("vanishing", 2), ("sign", 1), ("sign", 2),
+        ("peterson", 1), ("peterson", 2), ("gkm", None),
+    ]
+    assert [r.check for r in qklines.run_suite(engine("B2"), (1,), "sign")] == []

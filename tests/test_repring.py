@@ -231,3 +231,31 @@ def test_packed_order_is_graded_lex():
     assert hi > lo
     assert repring._unpack(2, hi) == (3, 0)
     assert repring._pack(2, (0, 0)) == repring._codec(2)[2]
+
+
+_EDGE = 1 << 23  # each packed exponent coordinate is a 24-bit field
+_edge_coord = st.one_of(
+    st.integers(-_EDGE - 2, -_EDGE + 2), st.integers(_EDGE - 3, _EDGE + 2), st.integers(-2, 2)
+)
+
+
+def test_packed_exponent_overflow_raises():
+    with pytest.raises(ValueError, match="outside"):
+        RingElt.monomial(2, (2**23, 0))
+    assert RingElt.monomial(2, (2**23 - 1, -(2**23))).terms() == [((2**23 - 1, -(2**23)), 1)]
+
+
+@settings(max_examples=200)
+@given(st.tuples(_edge_coord, _edge_coord))
+def test_packed_exponents_round_trip_or_raise_at_field_edges(coords):
+    builders = (
+        lambda: RingElt.monomial(2, coords),
+        lambda: RingElt.from_terms(2, [(coords, 3)]),
+        lambda: RingElt.one(2).map_exponents(lambda lam: coords),
+    )
+    for build in builders:
+        if all(-_EDGE <= c < _EDGE for c in coords):
+            assert [lam for lam, _ in build().terms()] == [coords]
+        else:
+            with pytest.raises(ValueError, match="outside"):
+                build()

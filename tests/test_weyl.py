@@ -46,6 +46,22 @@ def test_group_orders():
     assert group("G2").order == 12
 
 
+def test_order_from_root_heights_without_enumeration():
+    for label in ("A1", "A4", "B4", "C3", "D5", "F4", "G2"):
+        W = WeylGroup(named_datum(label))  # a fresh group: nothing enumerated yet
+        order = W.order
+        assert W._elements is None
+        assert order == len(W.elements())
+    assert group("E6").order == 51_840
+    assert group("E8").order == 696_729_600
+
+
+def test_elements_refuses_groups_too_large_to_enumerate():
+    assert 192 <= weyl.MAX_ELEMENTS < 51_840  # D4 (benchmark) fits, E6 does not
+    with pytest.raises(ValueError, match="696,729,600 elements"):
+        WeylGroup(named_datum("E8")).elements()
+
+
 def test_length_equals_word_length():
     W = group("C2")
     for w in W.elements():
