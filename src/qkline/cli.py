@@ -76,7 +76,7 @@ def cmd_table(args) -> int:
             file=sys.stderr,
         )
     if args.format == "json":
-        sys.stdout.write(_table_json(engine, parabolic, products) + "\n")
+        sys.stdout.write(_table_json(engine, p, products) + "\n")
     elif args.format == "latex":
         sys.stdout.write(_table_latex(engine, products))
     else:
@@ -84,11 +84,11 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _table_json(engine, parabolic, products) -> str:
+def _table_json(engine, p, products) -> str:
     datum = engine.datum
     payload = {
         "group": str(datum),
-        "parabolic": sorted(parabolic),
+        "parabolic": sorted(p),
         "rows": [
             {
                 "u": prod.u.word_str,

@@ -1,4 +1,4 @@
-"""Equivariant K-theory of the full flag manifold in the fixed-point model.
+"""Equivariant K-theory of G/B and G/P in the fixed-point model.
 
 A class is a function from Weyl group elements (the torus-fixed points) to
 the coefficient ring, subject to the divisibility condition along the
@@ -20,13 +20,25 @@ resulting classes satisfy
   roots sent negative by ``v^{-1}``,
 * ``O^id = 1``.
 
-Structure constants for any parabolic quotient are computed inside this one
-engine: for minimal representatives ``u, v`` the product ``O^u . O^v``
-expands with support in the minimal representatives again, and pullback
-along the projection is injective, so those coefficients *are* the quotient
-constants.  Expansion is a triangular solve against the diagonal values; the
-pushforward to a point is the sum of expansion coefficients, because every
-Schubert class has sheaf Euler characteristic 1.
+A class on a parabolic quotient ``G/P`` is stored by its values at the
+fixed points of ``G/P``, the minimal representatives ``W^P``; as a function
+on W it is constant on every coset ``w W_P``.  ``descend`` restates a class
+on G/P: going to a bigger parabolic it first checks, at every point of the
+class's own quotient (zeros included), that the class is constant on the
+cosets of the new parabolic, and raises :class:`ExpansionError` otherwise,
+since such a class is not in the span of the ``W^P`` Schubert classes.
+For ``v`` in ``W^P`` the Schubert class ``O^v`` is built on G/B by the
+recursion above and descended to G/P, so it passes the same check.
+
+Structure constants for a parabolic quotient are computed on G/P: the
+pointwise product of ``O^u`` and ``O^v`` and the triangular solve against
+the diagonal values visit the ``W^P`` points only.  The final leftover check
+loses nothing by that: every class in a product or a solve has passed the
+coset check, so the leftover is constant on cosets, and zero at ``W^P``
+means zero on all of W.  The Borel quotient (``P`` empty) is the case in
+which nothing is restricted.  The pushforward to a point is the sum of
+expansion coefficients, because every Schubert class has sheaf Euler
+characteristic 1.
 
 All caches are append-only with value-identical recomputation, so the engine
 may be shared across threads.
@@ -48,12 +60,18 @@ class ExpansionError(ValueError):
 
 @dataclass(frozen=True)
 class KClass:
-    """A coefficient-ring-valued function on the fixed points (sparse)."""
+    """A coefficient-ring-valued function on the fixed points (sparse) of
+    G/P: its restrictions are the values at the points of W^P."""
 
     datum: CartanDatum
     restrictions: dict[WeylElement, RingElt]
+    parabolic: frozenset[int] = field(default_factory=frozenset)
 
     def value(self, w: WeylElement) -> RingElt:
+        """The value at any point of W: a class on G/P is read at the
+        minimal representative of w W_P."""
+        if self.parabolic:
+            w = weyl.min_coset_rep(w, self.parabolic)
         got = self.restrictions.get(w)
         return got if got is not None else RingElt.zero(self.datum.rank)
 
@@ -90,9 +108,10 @@ class KTEngine:
         self.datum = datum
         self.rank = datum.rank
         self.W = WeylGroup.for_datum(datum)
-        self._schubert: dict[WeylElement, KClass] = {}
+        self._schubert: dict[tuple, KClass] = {}
         self._opposite: dict[WeylElement, KClass] = {}
         self._constants: dict[tuple, SchubertExpansion] = {}
+        self._cosets: dict[tuple, tuple] = {}
         self._pos_roots = tuple(r.coords for r in rootsys.positive_roots(datum))
         self._reflections: tuple[WeylElement, ...] | None = None
 
@@ -122,19 +141,22 @@ class KTEngine:
             out = out * self._one_minus_e(tuple(-x for x in rootsys.alpha_to_omega(self.datum, beta)))
         return out
 
-    def schubert_class(self, v: WeylElement) -> KClass:
-        got = self._schubert.get(v)
+    def schubert_class(self, v: WeylElement, parabolic=()) -> KClass:
+        """O^v on G/B, or, for v in W^P, on G/P: the class on G/B descended."""
+        p = weyl.normalize_parabolic(self.datum, parabolic)
+        got = self._schubert.get((v, p))
         if got is not None:
             return got
-        w0 = self.W.longest()
-        if v is w0:
+        if p:
+            weyl.require_wp(v, p)
+            cls = self.descend(self.schubert_class(v), p)
+        elif v is self.W.longest():
             self.W.elements()  # refuses a group too large to enumerate before any class is built
-            cls = KClass(self.datum, {w0: self.diagonal_value(w0)})
+            cls = KClass(self.datum, {v: self.diagonal_value(v)})
         else:
             k = next(i for i in range(1, self.rank + 1) if not v.has_right_descent(i))
             cls = self.demazure(self.schubert_class(self.W.right_mult_gen(v, k)), k)
-        self._schubert[v] = cls
-        return cls
+        return self._schubert.setdefault((v, p), cls)
 
     def opposite_schubert_class(self, w: WeylElement) -> KClass:
         """O_w, defined from O^{w_0 w} by the symmetry twisting both the point
@@ -155,7 +177,8 @@ class KTEngine:
 
     def demazure(self, c: KClass, k: int) -> KClass:
         """The moment-graph form of the degree-lowering operator along edges
-        (w, w s_k); sends O^v to O^{v_k} and is idempotent."""
+        (w, w s_k); sends O^v to O^{v_k} and is idempotent.  Acts on G/B."""
+        _require_borel(c, "demazure")
         W = self.W
         pts = set(c.restrictions)
         pts |= {W.right_mult_gen(w, k) for w in pts}
@@ -169,8 +192,11 @@ class KTEngine:
         return KClass(self.datum, out)
 
     def multiply(self, c1: KClass, c2: KClass) -> KClass:
-        """Pointwise product of restriction functions."""
-        small, big = (c1.restrictions, c2.restrictions)
+        """Pointwise product of restriction functions, on the intersection of
+        the two parabolics (the product of a class on G/P and one on G/B is
+        a class on G/B)."""
+        p = c1.parabolic & c2.parabolic
+        small, big = (self.descend(c1, p).restrictions, self.descend(c2, p).restrictions)
         if len(small) > len(big):
             small, big = big, small
         out = {}
@@ -180,22 +206,61 @@ class KTEngine:
                 prod = a * b
                 if prod:
                     out[w] = prod
-        return KClass(self.datum, out)
+        return KClass(self.datum, out, p)
+
+    def descend(self, c: KClass, parabolic) -> KClass:
+        """``c`` as a class on G/P, keeping only its values at the points of
+        W^P.  It must be constant on every coset w W_P; that is checked at
+        every point of c's own quotient, zeros included, and a class that
+        fails is not in the span of the W^P Schubert classes.  To a smaller
+        parabolic this is the pullback, which always exists."""
+        p = weyl.normalize_parabolic(self.datum, parabolic)
+        q = c.parabolic
+        if q == p:
+            return c
+        check, keep = self._coset_map(q, p)
+        vals = c.restrictions
+        zero = self.ring_zero()
+        for a, b in check:
+            if (vals.get(a) or zero) != (vals.get(b) or zero):
+                raise ExpansionError(
+                    f"class is not constant on the cosets of W_P for P = {sorted(p)}: "
+                    f"its values at {a.word_str} and {b.word_str} differ"
+                )
+        return KClass(self.datum, {x: vals[xq] for x, xq in keep if xq in vals}, p)
+
+    def _coset_map(self, q: frozenset[int], p: frozenset[int]) -> tuple:
+        """What restating a class on G/Q as one on G/P reads, memoised per
+        (Q, P).  ``check``: the pairs of G/Q points (x W_Q, x' W_Q), x' the
+        minimal representative of x W_P, for x in W^{Q & P}; a class is
+        constant on the cosets of W_P exactly when it agrees on each pair.
+        ``keep``: (x, minimal representative of x W_Q) for x in W^P."""
+        got = self._cosets.get((q, p))
+        if got is None:
+
+            def rep(x, r):
+                return weyl.min_coset_rep(x, r) if r else x
+
+            pairs = ((rep(x, q), rep(rep(x, p), q)) for x in weyl.enumerate_wp(self.W, q & p))
+            check = tuple((a, b) for a, b in pairs if a is not b)
+            keep = tuple((x, rep(x, q)) for x in weyl.enumerate_wp(self.W, p))
+            got = self._cosets.setdefault((q, p), (check, keep))
+        return got
 
     # -- expansion and structure constants -----------------------------------------
 
     def expand(self, c: KClass, parabolic=()) -> SchubertExpansion:
         """Triangular solve for the coefficients of ``c`` in the Schubert
-        basis indexed by the minimal representatives of the parabolic."""
+        basis indexed by the minimal representatives of the parabolic; the
+        class is first descended to G/P, so the solve visits W^P only."""
         p = weyl.normalize_parabolic(self.datum, parabolic)
-        basis = weyl.enumerate_wp(self.W, p)
-        resid = dict(c.restrictions)
+        resid = dict(self.descend(c, p).restrictions)
         coeffs: dict[WeylElement, RingElt] = {}
-        for v in basis:
+        for v in weyl.enumerate_wp(self.W, p):
             val = resid.get(v)
             if not val:
                 continue
-            cls = self.schubert_class(v)
+            cls = self.schubert_class(v, p)
             try:
                 cv = exact_divide(val, cls.restrictions[v])  # the diagonal value O^v|_v
             except repring.NotDivisible:
@@ -215,12 +280,13 @@ class KTEngine:
         return SchubertExpansion(coeffs, p)
 
     def schubert_class_of_expansion(self, e: SchubertExpansion) -> KClass:
-        """Linear combination sum c_w O^w as a fixed-point function."""
+        """Linear combination sum c_w O^w as a fixed-point function on the
+        expansion's quotient."""
         acc: dict[WeylElement, RingElt] = {}
         for w, cw in e.coeffs.items():
-            for u, val in self.schubert_class(w).restrictions.items():
+            for u, val in self.schubert_class(w, e.parabolic).restrictions.items():
                 accumulate(acc, u, cw * val)
-        return KClass(self.datum, acc)
+        return KClass(self.datum, acc, e.parabolic)
 
     def structure_constants(self, u: WeylElement, v: WeylElement, parabolic=()) -> SchubertExpansion:
         """All coefficients of O^u . O^v over the given quotient at once."""
@@ -232,9 +298,8 @@ class KTEngine:
         key = (u, v, p)
         got = self._constants.get(key)
         if got is None:
-            prod = self.multiply(self.schubert_class(u), self.schubert_class(v))
-            got = self.expand(prod, p)
-            self._constants[key] = got
+            prod = self.multiply(self.schubert_class(u, p), self.schubert_class(v, p))
+            got = self._constants.setdefault(key, self.expand(prod, p))
         return got
 
     # -- functoriality ------------------------------------------------------------
@@ -295,7 +360,8 @@ class KTEngine:
 
     def gkm_violations(self, c: KClass, max_report: int = 4):
         """Edge-divisibility failures as (point, root) pairs; empty means the
-        class satisfies the moment-graph condition."""
+        class satisfies the moment-graph condition.  Checks classes on G/B."""
+        _require_borel(c, "gkm_violations")
         bad = []
         refs = self.reflections()
         seen_pairs = set()
@@ -313,3 +379,10 @@ class KTEngine:
                     if len(bad) >= max_report:
                         return bad
         return bad
+
+
+def _require_borel(c: KClass, op: str) -> None:
+    """Raise ValueError unless ``c`` is a class on G/B: the moment-graph
+    operations walk the edges of G/B."""
+    if c.parabolic:
+        raise ValueError(f"{op} acts on classes on G/B, not on G/P for P = {sorted(c.parabolic)}")

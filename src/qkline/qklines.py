@@ -144,8 +144,8 @@ def kgw3(engine: KTEngine, u: WeylElement, v: WeylElement, f: SchubertExpansion,
         pk = weyl.build_Pk(engine.datum, p, k)
         return kgw3(engine, u, v, engine.pullback(f, pk), k, pk)
     cls = engine.multiply(
-        engine.schubert_class(hecke_down(u, k)),
-        engine.schubert_class(hecke_down(v, k)),
+        engine.schubert_class(hecke_down(u, k), p),
+        engine.schubert_class(hecke_down(v, k), p),
     )
     cls = engine.multiply(cls, engine.schubert_class_of_expansion(f))
     return engine.euler_characteristic(engine.expand(cls, p))

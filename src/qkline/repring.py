@@ -12,6 +12,13 @@ additive, so ``e^lam * e^mu`` is one integer addition; it also makes the
 leading-term scans of exact division cheap.  The packing is an internal
 detail: the public API speaks exponent tuples.
 
+Packed addition does not see a field overflow, so every element carries a
+bound on ``|coordinate|`` over its exponents: a sum gets the larger of its
+summands' bounds, a product or a quotient the sum of its operands' bounds.
+A product or quotient whose bound could reach the edge of a field is
+checked exactly and refused with ``ValueError``, like ``_pack``; the test is
+O(1) per operation and nothing is unpacked in the inner loops.
+
 Division is polynomial long division against the graded-lex leading term.
 For an exact quotient the leading term of each partial remainder equals
 ``LT(divisor) * (a term of the quotient)``, so the division terminates after
@@ -68,19 +75,21 @@ def _unpack(rank: int, key: int) -> tuple[int, ...]:
 class RingElt:
     """An element of the group ring; immutable and hashable."""
 
-    __slots__ = ("rank", "_terms", "_hash")
+    __slots__ = ("rank", "_terms", "_hash", "_bound")
 
-    def __init__(self, rank: int, _terms: dict[int, int]):
-        # _terms maps packed exponent -> nonzero coefficient; owned by self
+    def __init__(self, rank: int, _terms: dict[int, int], _bound: int):
+        # _terms maps packed exponent -> nonzero coefficient; owned by self.
+        # _bound is at least every |coordinate| of every exponent in _terms.
         self.rank = rank
         self._terms = _terms
         self._hash = None
+        self._bound = _bound
 
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
     def zero(rank: int) -> "RingElt":
-        return RingElt(rank, {})
+        return RingElt(rank, {}, 0)
 
     @staticmethod
     def one(rank: int) -> "RingElt":
@@ -91,15 +100,17 @@ class RingElt:
         if len(coords) != rank:
             raise ValueError("exponent length does not match rank")
         if coeff == 0:
-            return RingElt(rank, {})
-        return RingElt(rank, {_pack(rank, tuple(coords)): int(coeff)})
+            return RingElt(rank, {}, 0)
+        return RingElt(rank, {_pack(rank, tuple(coords)): int(coeff)}, max(map(abs, coords), default=0))
 
     @staticmethod
     def from_terms(rank: int, items) -> "RingElt":
         terms: dict[int, int] = {}
+        bound = 0
         for coords, coeff in items:
             accumulate(terms, _pack(rank, tuple(coords)), int(coeff))
-        return RingElt(rank, terms)
+            bound = max(bound, max(map(abs, coords), default=0))
+        return RingElt(rank, terms, bound)
 
     # -- inspection -----------------------------------------------------------
 
@@ -151,13 +162,13 @@ class RingElt:
                 out[k] = v
             else:
                 del out[k]
-        return RingElt(self.rank, out)
+        return RingElt(self.rank, out, max(self._bound, other._bound))
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return RingElt(self.rank, {k: -c for k, c in self._terms.items()})
+        return RingElt(self.rank, {k: -c for k, c in self._terms.items()}, self._bound)
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -172,11 +183,14 @@ class RingElt:
     def __mul__(self, other):
         if isinstance(other, int):
             if other == 0:
-                return RingElt(self.rank, {})
-            return RingElt(self.rank, {k: c * other for k, c in self._terms.items()})
+                return RingElt(self.rank, {}, 0)
+            return RingElt(self.rank, {k: c * other for k, c in self._terms.items()}, self._bound)
         if not isinstance(other, RingElt):
             return NotImplemented
         self._check(other)
+        bound = self._bound + other._bound
+        if bound >= _COORD_OFF:
+            bound = _edge_bound(self, other, 1)
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
@@ -192,7 +206,7 @@ class RingElt:
                     out[k] = v
                 else:
                     del out[k]
-        return RingElt(self.rank, out)
+        return RingElt(self.rank, out, bound)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -206,11 +220,32 @@ class RingElt:
     def map_exponents(self, fn) -> "RingElt":
         """Apply a lattice map to every exponent (must be injective on the
         support, as for any group automorphism)."""
-        rank = self.rank
-        out: dict[int, int] = {}
-        for k, c in self._terms.items():
-            accumulate(out, _pack(rank, fn(_unpack(rank, k))), c)
-        return RingElt(rank, out)
+        return RingElt.from_terms(self.rank, ((fn(_unpack(self.rank, k)), c) for k, c in self._terms.items()))
+
+
+def _axis_ranges(a: RingElt):
+    """(lowest, highest) coordinate of the exponents of ``a`` on each axis."""
+    coords = [_unpack(a.rank, k) for k in a._terms]
+    return [(min(col), max(col)) for col in zip(*coords)]
+
+
+def _edge_bound(a: RingElt, b: RingElt, sign: int) -> int:
+    """For ``a * b`` (sign 1) or the exact quotient ``a / b`` (sign -1) when
+    the sum of the operands' bounds reaches the edge of a packed field: the
+    exact bound on |coordinate| over the result's exponents, or ValueError
+    when one leaves ``[-2**23, 2**23)``.  On each axis the result's range is
+    the sum (for a quotient, the difference) of the operands' ranges, since
+    its Newton polytope is their Minkowski sum (difference)."""
+    if not a or not b:
+        return 0
+    lo = hi = 0
+    for (lo_a, hi_a), (lo_b, hi_b) in zip(_axis_ranges(a), _axis_ranges(b)):
+        lo = min(lo, lo_a + sign * lo_b)
+        hi = max(hi, hi_a + sign * hi_b)
+    if lo < -_COORD_OFF or hi >= _COORD_OFF:
+        op = "product" if sign > 0 else "quotient"
+        raise ValueError(f"the {op} has an exponent with a coordinate outside [-2**23, 2**23)")
+    return max(-lo, hi)
 
 
 def accumulate(acc: dict, key, val) -> None:
@@ -237,6 +272,9 @@ def exact_divide(a: RingElt, b: RingElt) -> RingElt:
         raise ZeroDivisionError("division by the zero ring element")
     if not a:
         return RingElt.zero(a.rank)
+    bound = a._bound + b._bound
+    if bound >= _COORD_OFF:
+        bound = _edge_bound(a, b, -1)
     key0 = _codec(a.rank)[2]
     bterms = b._terms
     lead_b = max(bterms)
@@ -260,7 +298,7 @@ def exact_divide(a: RingElt, b: RingElt) -> RingElt:
                 rem[kk] = v
             else:
                 rem.pop(kk, None)
-    return RingElt(a.rank, quo)
+    return RingElt(a.rank, quo, bound)
 
 
 def divides_one_minus_e(a: RingElt, beta_weight_coords) -> bool:

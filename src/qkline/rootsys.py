@@ -323,7 +323,9 @@ def alpha_to_omega(datum: CartanDatum, coords) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _inverse_cartan(datum: CartanDatum):
+def _inverse_cartan(datum: CartanDatum) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(den, adj): the common denominator of A^{-1} and the integer matrix
+    den * A^{-1}, so that weight conversions stay in integers."""
     n = datum.rank
     m = [[Fraction(datum.cartan[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for k in range(n):
@@ -335,20 +337,20 @@ def _inverse_cartan(datum: CartanDatum):
             if i != k and m[i][k]:
                 f = m[i][k]
                 m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-    return tuple(tuple(row[n:]) for row in m)
+    den = math.lcm(*(x.denominator for row in m for x in row[n:]))
+    return den, tuple(tuple(int(x * den) for x in row[n:]) for row in m)
 
 
 def omega_to_alpha(datum: CartanDatum, coords) -> tuple[int, ...] | None:
     """Fundamental-weight coordinates -> simple-root coordinates, or None when
     the weight is not in the root lattice."""
-    inv = _inverse_cartan(datum)
-    n = datum.rank
+    den, adj = _inverse_cartan(datum)
     out = []
-    for i in range(n):
-        x = sum(inv[i][j] * coords[j] for j in range(n))
-        if x.denominator != 1:
+    for row in adj:
+        x, r = divmod(sum(a * c for a, c in zip(row, coords)), den)
+        if r:
             return None
-        out.append(int(x))
+        out.append(x)
     return tuple(out)
 
 

@@ -1,6 +1,8 @@
 """Byte-identical CLI output: the benchmark workloads' stdout and exit code
 must match the hashes recorded in perfbench/references.json, so a change to
-any computed coefficient fails here as well as in the benchmark run."""
+any computed coefficient fails here as well as in the benchmark run.  The
+quotient tables in quotient_tables.json were recorded the same way, before
+the quotient solve moved from the points of W to the points of W^P."""
 
 import hashlib
 import json
@@ -10,16 +12,24 @@ import pytest
 
 from qkline import cli
 
-REFERENCES = json.loads(
-    (pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "references.json").read_text()
-)
+HERE = pathlib.Path(__file__).resolve().parent
+REFERENCES = json.loads((HERE.parent / "perfbench" / "references.json").read_text())
+QUOTIENT_TABLES = json.loads((HERE / "quotient_tables.json").read_text())
 
 
-@pytest.mark.parametrize("name", sorted(REFERENCES))
-def test_stdout_matches_reference(name, capsys):
-    ref = REFERENCES[name]
+def _check(ref, capsys):
     code = cli.main(list(ref["argv"]))
     out = capsys.readouterr().out.encode("utf-8")
     assert code == ref["exit_code"]
     assert len(out) == ref["stdout_bytes"]
     assert hashlib.sha256(out).hexdigest() == ref["sha256"]
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+def test_stdout_matches_reference(name, capsys):
+    _check(REFERENCES[name], capsys)
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_TABLES))
+def test_quotient_table_matches_reference(name, capsys):
+    _check(QUOTIENT_TABLES[name], capsys)

@@ -3,6 +3,7 @@ recomputation (caches are append-only with value-identical entries)."""
 
 import itertools
 import random
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -10,29 +11,41 @@ from qkline import KTEngine, WeylGroup, named_datum, weyl
 
 
 def test_shared_engine_concurrent_reads_match_serial():
-    serial = KTEngine(named_datum("C2"))
-    els = serial.W.elements()
+    # on a quotient the threads also race on the memoised W^P classes and
+    # coset maps that the W^P solve reads
+    for label, p in (("C2", ()), ("A3", (2,))):
+        _concurrent_reads_match_serial(label, p)
+
+
+def _concurrent_reads_match_serial(label, p):
+    serial = KTEngine(named_datum(label))
+    els = weyl.enumerate_wp(serial.W, p)
     pairs = list(itertools.combinations_with_replacement(els, 2))
     expected = {
-        (u.word_str, v.word_str): serial.structure_constants(u, v).coeffs
+        (u.word_str, v.word_str): serial.structure_constants(u, v, p).coeffs
         for u, v in pairs
     }
 
-    shared = KTEngine(named_datum("C2"))
+    shared = KTEngine(named_datum(label))
     shared_els = {w.word_str: w for w in shared.W.elements()}
     jobs = [(u.word_str, v.word_str) for u, v in pairs] * 3
     random.Random(7).shuffle(jobs)
 
     def work(job):
         uw, vw = job
-        exp = shared.structure_constants(shared_els[uw], shared_els[vw])
+        exp = shared.structure_constants(shared_els[uw], shared_els[vw], p)
         return job, {w.word_str: c for w, c in exp.coeffs.items()}
 
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        for job, got in pool.map(work, jobs):
-            uw, vw = job
-            want = {w.word_str: c for w, c in expected[(uw, vw)].items()}
-            assert got == want
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for job, got in pool.map(work, jobs, timeout=120):
+                uw, vw = job
+                want = {w.word_str: c for w, c in expected[(uw, vw)].items()}
+                assert got == want
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_intern_race_returns_one_element(monkeypatch):

@@ -282,3 +282,11 @@ def test_cli_usage_errors(capsys):
     )
     assert code == 2
     assert "not admissible" in err
+
+
+def test_cli_table_json_prints_the_normalised_parabolic(capsys):
+    assert cli.main(["table", "--group", "A2", "--parabolic", "1,1", "--format", "json"]) == 0
+    repeated = capsys.readouterr().out
+    assert json.loads(repeated)["parabolic"] == [1]
+    assert cli.main(["table", "--group", "A2", "--parabolic", "1", "--format", "json"]) == 0
+    assert capsys.readouterr().out == repeated

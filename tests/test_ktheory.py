@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from qkline import ExpansionError, KTEngine, named_datum, repring, weyl
+from qkline.ktheory import KClass
 from qkline.repring import RingElt, parse_expression
 from qkline.rootsys import alpha_to_omega, positive_roots
 
@@ -384,3 +385,78 @@ def test_expand_divides_by_the_stored_diagonal(monkeypatch):
     s1, s2 = e.W.simple(1), e.W.simple(2)
     assert e.structure_constants(s1, s2).coeffs
     assert calls == [e.W.longest()]
+
+
+# -- classes on G/P ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "label, p",
+    [("A3", {1}), ("A3", {2}), ("B3", {2, 3}), ("C3", {1, 2}), ("G2", {1}), ("D4", {2, 3, 4})],
+    ids=lambda x: x if isinstance(x, str) else "P" + "".join(map(str, sorted(x))),
+)
+def test_quotient_constants_match_the_borel_solve(engine, label, p):
+    # the Borel solve visits every point of W, so it checks the W^P solve
+    e = engine(label)
+    reps = weyl.enumerate_wp(e.W, p)
+    for i, u in enumerate(reps):
+        for v in reps[i:]:
+            prod = e.multiply(e.schubert_class(u, p), e.schubert_class(v, p))
+            assert prod.parabolic == p and set(prod.restrictions) <= set(reps)
+            assert e.structure_constants(u, v, p).coeffs == e.structure_constants(u, v).coeffs
+
+
+def test_quotient_class_is_read_at_the_coset_representative(engine):
+    e = engine("A3")
+    p = frozenset({1, 3})
+    reps = weyl.enumerate_wp(e.W, p)
+    for v in reps:
+        borel = e.schubert_class(v)
+        cls = e.schubert_class(v, p)
+        assert cls.parabolic == p and set(cls.restrictions) <= set(reps)
+        assert all(cls.value(w) == borel.value(w) for w in e.W.elements())
+        # the pullback to G/B is the class built there
+        assert e.descend(cls, ()).restrictions == borel.restrictions
+        assert e.descend(e.schubert_class(v, {1}), p).restrictions == cls.restrictions
+    with pytest.raises(ValueError, match="minimal representative"):
+        e.schubert_class(e.W.simple(1), p)
+
+
+def test_descend_refuses_a_class_not_constant_on_cosets(engine):
+    e = engine("A2")
+    s1, s2 = e.W.simple(1), e.W.simple(2)
+    with pytest.raises(ExpansionError, match="cosets"):
+        e.descend(e.schubert_class(s2), {2})
+    # right values at W^{2} = {id, 1, 21}, but a nonzero value at the point 2
+    # of the coset {id, 2}, where the identity has none
+    vals = dict(e.schubert_class(s1).restrictions)
+    vals[s2] = e.ring_one()
+    broken = KClass(e.datum, vals)
+    with pytest.raises(ExpansionError, match="cosets"):
+        e.descend(broken, {2})
+    with pytest.raises(ExpansionError, match="cosets"):
+        e.expand(broken, {2})
+    # a class on G/{1} that is not pulled back from G/{1,3}
+    a3 = engine("A3")
+    with pytest.raises(ExpansionError, match="cosets"):
+        a3.descend(a3.schubert_class(a3.W.simple(3), {1}), {1, 3})
+
+
+def test_moment_graph_operations_refuse_classes_on_a_quotient(engine):
+    e = engine("A2")
+    cls = e.schubert_class(e.W.simple(1), {2})
+    with pytest.raises(ValueError, match="G/B"):
+        e.demazure(cls, 1)
+    with pytest.raises(ValueError, match="G/B"):
+        e.gkm_violations(cls)
+
+
+def test_product_of_a_quotient_class_and_a_borel_class(engine):
+    # the product lives on the smaller parabolic, so a G/B factor that is not
+    # pulled back from G/P is not refused
+    e = engine("A3")
+    s1, s2 = e.W.simple(1), e.W.simple(2)
+    mixed = e.multiply(e.schubert_class(s1, {2}), e.schubert_class(s2))
+    assert mixed.parabolic == frozenset()
+    assert mixed.restrictions == e.multiply(e.schubert_class(s1), e.schubert_class(s2)).restrictions
+    assert e.expand(mixed).coeffs == e.structure_constants(s1, s2).coeffs

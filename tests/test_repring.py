@@ -259,3 +259,38 @@ def test_packed_exponents_round_trip_or_raise_at_field_edges(coords):
         else:
             with pytest.raises(ValueError, match="outside"):
                 build()
+
+
+def test_product_and_quotient_overflow_raise():
+    m = RingElt.monomial(2, (2**22, 0))
+    with pytest.raises(ValueError, match="outside"):
+        m * m
+    with pytest.raises(ValueError, match="outside"):
+        exact_divide(m, RingElt.monomial(2, (-(2**23) + 1, 0)))
+    # near the edge but representable: different axes, or a cancelling axis
+    assert (m * RingElt.monomial(2, (0, 2**22))).terms() == [((2**22, 2**22), 1)]
+    big = RingElt.monomial(2, (3 * 2**21, 0))
+    back = RingElt.monomial(2, (-3 * 2**21, 5))
+    assert (big * back).terms() == [((0, 5), 1)]
+    assert exact_divide(big * back, back) == big
+
+
+@settings(max_examples=200)
+@given(st.tuples(_edge_coord, _edge_coord), st.tuples(_edge_coord, _edge_coord))
+def test_products_and_quotients_round_trip_or_raise_at_field_edges(x, y):
+    def fits(coords):
+        return all(-_EDGE <= c < _EDGE for c in coords)
+
+    if not (fits(x) and fits(y)):
+        return
+    a = RingElt.monomial(2, x) * RingElt.one(2)
+    b = RingElt.monomial(2, y)
+    for build, want in (
+        (lambda: a * b, tuple(p + q for p, q in zip(x, y))),
+        (lambda: exact_divide(a, b), tuple(p - q for p, q in zip(x, y))),
+    ):
+        if fits(want):
+            assert [lam for lam, _ in build().terms()] == [want]
+        else:
+            with pytest.raises(ValueError, match="outside"):
+                build()

@@ -154,3 +154,24 @@ def test_symmetrizer_matches_bourbaki():
 def test_root_positivity_flag():
     assert Root((1, 0)).is_positive
     assert not Root((-1, -1)).is_positive
+
+
+def test_omega_to_alpha_in_integers():
+    import itertools
+
+    from qkline.rootsys import _inverse_cartan, alpha_to_omega, omega_to_alpha
+
+    for label in ("A3", "B3", "C3", "D4", "G2", "F4", "E6"):
+        datum = named_datum(label)
+        den, adj = _inverse_cartan(datum)
+        n = datum.rank
+        # adj is den * A^{-1}: an integer matrix with A . adj = den * I
+        assert all(isinstance(x, int) for row in adj for x in row)
+        for i, j in itertools.product(range(n), repeat=2):
+            assert sum(datum.cartan[i][m] * adj[m][j] for m in range(n)) == den * (i == j)
+        for alpha in itertools.product(range(-2, 3), repeat=min(n, 3)):
+            alpha = alpha + (0,) * (n - len(alpha))
+            assert omega_to_alpha(datum, alpha_to_omega(datum, alpha)) == alpha
+    # omega_1 of A2 is (2 alpha_1 + alpha_2) / 3: not in the root lattice
+    assert omega_to_alpha(named_datum("A2"), (1, 0)) is None
+    assert omega_to_alpha(named_datum("A2"), (3, 0)) == (2, 1)
