@@ -75,9 +75,6 @@ class KClass:
         got = self.restrictions.get(w)
         return got if got is not None else RingElt.zero(self.datum.rank)
 
-    def support(self):
-        return self.restrictions.keys()
-
 
 @dataclass(frozen=True)
 class SchubertExpansion:
@@ -89,13 +86,7 @@ class SchubertExpansion:
 
     def coeff(self, w: WeylElement) -> RingElt:
         got = self.coeffs.get(w)
-        if got is not None:
-            return got
-        rank = w.group.rank
-        return RingElt.zero(rank)
-
-    def support(self):
-        return self.coeffs.keys()
+        return got if got is not None else RingElt.zero(w.group.rank)
 
     def items_sorted(self):
         return sorted(self.coeffs.items(), key=lambda kv: kv[0].sort_key)
@@ -125,12 +116,6 @@ class KTEngine:
 
     def _one_minus_e(self, weight_coords) -> RingElt:
         return self.ring_one() - RingElt.monomial(self.rank, weight_coords)
-
-    def root_monomial(self, alpha_coords, negate=False) -> RingElt:
-        w = rootsys.alpha_to_omega(self.datum, alpha_coords)
-        if negate:
-            w = tuple(-x for x in w)
-        return RingElt.monomial(self.rank, w)
 
     # -- Schubert classes -------------------------------------------------------
 
@@ -185,7 +170,7 @@ class KTEngine:
         out = {}
         one = self.ring_one()
         for w in pts:
-            t = self.root_monomial(w.table[k - 1])  # e^{w(alpha_k)}
+            t = RingElt.monomial(self.rank, rootsys.alpha_to_omega(self.datum, w.table[k - 1]))  # e^{w(alpha_k)}
             num = c.value(w) - t * c.value(W.right_mult_gen(w, k))
             if num:
                 out[w] = exact_divide(num, one - t)
@@ -358,9 +343,10 @@ class KTEngine:
             self._reflections = tuple(refs)
         return self._reflections
 
-    def gkm_violations(self, c: KClass, max_report: int = 4):
-        """Edge-divisibility failures as (point, root) pairs; empty means the
-        class satisfies the moment-graph condition.  Checks classes on G/B."""
+    def gkm_violations(self, c: KClass):
+        """Edge-divisibility failures as (point, root) pairs, at most four;
+        empty means the class satisfies the moment-graph condition.  Checks
+        classes on G/B."""
         _require_borel(c, "gkm_violations")
         bad = []
         refs = self.reflections()
@@ -376,7 +362,7 @@ class KTEngine:
                 diff = c.value(w) - c.value(other)
                 if diff and not repring.divides_one_minus_e(diff, rootsys.alpha_to_omega(self.datum, beta)):
                     bad.append((w, rootsys.Root(beta)))
-                    if len(bad) >= max_report:
+                    if len(bad) >= 4:
                         return bad
         return bad
 

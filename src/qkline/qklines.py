@@ -202,10 +202,8 @@ def quantum_coefficients(engine: KTEngine, u, v, k, p=()) -> dict[WeylElement, R
     require_wp(u, p)
     require_wp(v, p)
     pk = weyl.build_Pk(engine.datum, p, k)
-    acc: dict[WeylElement, RingElt] = {}
     up = engine.structure_constants(hecke_down(u, k), hecke_down(v, k), pk)
-    for a, cf in up.coeffs.items():
-        repring.accumulate(acc, min_coset_rep(a, p), cf)
+    acc = engine.pushforward(up, p).coeffs  # a fresh dict, owned here
     cl = engine.structure_constants(u, v, pk)
     for b, cf in cl.coeffs.items():
         repring.accumulate(acc, min_coset_rep(hecke_down(b, k), p), -cf)
@@ -263,11 +261,7 @@ def cor_xi_sum(engine: KTEngine, u, v, w, k, p, q) -> RingElt:
     for x in (u, v, w):
         require_wp(x, p)
     consts = engine.structure_constants(hecke_down(u, k), hecke_down(v, k), q)
-    total = engine.ring_zero()
-    for z, cf in consts.coeffs.items():
-        if min_coset_rep(z, p) is w:
-            total = total + cf
-    return total
+    return engine.pushforward(consts, p).coeff(w)
 
 
 # -- check reports ------------------------------------------------------------------

@@ -23,12 +23,19 @@ Division is polynomial long division against the graded-lex leading term.
 For an exact quotient the leading term of each partial remainder equals
 ``LT(divisor) * (a term of the quotient)``, so the division terminates after
 one step per quotient term; a remainder that drops below the trailing bound
-proves there is no quotient and raises :class:`NotDivisible`.
+proves there is no quotient and raises :class:`NotDivisible`.  Within one
+degree a walk can descend forever, so the quotient term is also checked
+against the bound of the quotient at 64, 128, 256, ... terms, and from step
+``safe`` on (no remainder key can leave its field before) at every term
+against the Newton polytope of any exact quotient: on each axis, the
+dividend's range minus the divisor's.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import re
 from functools import lru_cache
 
 from . import rootsys
@@ -266,8 +273,7 @@ def weyl_act(w, a: RingElt) -> RingElt:
 
 def exact_divide(a: RingElt, b: RingElt) -> RingElt:
     """The exact quotient q with a == b*q, when it exists in the ring."""
-    if a.rank != b.rank:
-        raise ValueError("rank mismatch between ring elements")
+    a._check(b)
     if not b:
         raise ZeroDivisionError("division by the zero ring element")
     if not a:
@@ -280,6 +286,9 @@ def exact_divide(a: RingElt, b: RingElt) -> RingElt:
     lead_b = max(bterms)
     lead_bc = bterms[lead_b]
     floor = min(a._terms) - min(bterms)  # packed key of trail(a)/trail(b), off by key0
+    safe = (_COORD_OFF - 1 - a._bound) // (2 * b._bound) if b._bound else math.inf
+    check_at = min(64, safe)
+    box = [(-bound, bound)] * a.rank  # holds the Newton polytope of any exact quotient
     rem = dict(a._terms)
     quo: dict[int, int] = {}
     while rem:
@@ -287,6 +296,12 @@ def exact_divide(a: RingElt, b: RingElt) -> RingElt:
         t = lead_r - lead_b  # off by key0
         if t < floor:
             raise NotDivisible("leading term fell below the trailing bound")
+        if len(quo) >= check_at:
+            if len(quo) == max(safe, 0):  # from here on every term is checked against the polytope itself
+                box = [(la - lb, ha - hb) for (la, ha), (lb, hb) in zip(_axis_ranges(a), _axis_ranges(b))]
+            if not all(lo <= x <= hi for x, (lo, hi) in zip(_unpack(a.rank, t + key0), box)):
+                raise NotDivisible("a quotient term lies outside the Newton polytope of any exact quotient")
+            check_at = min(2 * check_at, max(safe, len(quo) + 1))
         c, r = divmod(rem[lead_r], lead_bc)
         if r:
             raise NotDivisible("leading coefficient does not divide")
@@ -335,11 +350,8 @@ def rewrite_in_shifted_basis(a: RingElt, datum: CartanDatum) -> dict[tuple[int, 
     Raises :class:`NotInSubring` when some exponent of ``a`` is not a
     nonpositive integer combination of simple roots.
     """
-    import itertools
-
     out: dict[tuple[int, ...], int] = {}
-    for lam, coeff in a.terms():
-        alpha = rootsys.omega_to_alpha(datum, lam)
+    for alpha, lam, coeff in _root_terms(a, datum):
         if alpha is None or any(x > 0 for x in alpha):
             raise NotInSubring(f"exponent {lam} is not in the nonpositive root cone")
         m = tuple(-x for x in alpha)
@@ -355,21 +367,24 @@ def rewrite_in_shifted_basis(a: RingElt, datum: CartanDatum) -> dict[tuple[int, 
 # -- serialization and printing ------------------------------------------------
 
 
+def _root_terms(a: RingElt, datum: CartanDatum):
+    """(simple-root coordinates, or None off the root lattice, exponent,
+    coefficient) for each term of ``a``, graded-lex descending."""
+    for lam, coeff in a.terms():
+        yield rootsys.omega_to_alpha(datum, lam), lam, coeff
+
+
 def to_pairs(a: RingElt, datum: CartanDatum):
     """Canonical serialization: a list of [exponent-vector, coefficient]
     pairs sorted lexicographically, exponents in simple-root coordinates
     when the whole element lies in the root lattice (else in
     fundamental-weight coordinates)."""
     rows = []
-    in_root_lattice = True
-    for lam, coeff in a.terms():
-        alpha = rootsys.omega_to_alpha(datum, lam)
+    for alpha, lam, coeff in _root_terms(a, datum):
         if alpha is None:
-            in_root_lattice = False
+            rows = a.terms()
             break
         rows.append((alpha, coeff))
-    if not in_root_lattice:
-        rows = [(lam, coeff) for lam, coeff in a.terms()]
     return [[list(exp), coeff] for exp, coeff in sorted(rows)]
 
 
@@ -388,8 +403,7 @@ def format_elt(a: RingElt, datum: CartanDatum) -> str:
     if not a:
         return "0"
     bits = []
-    for lam, coeff in _display_terms(a, datum):
-        alpha = rootsys.omega_to_alpha(datum, lam)
+    for alpha, lam, coeff in sorted(_root_terms(a, datum), key=_display_key):
         if alpha is not None:
             mono = _format_exponent(alpha, "a")
         else:
@@ -409,18 +423,13 @@ def format_elt(a: RingElt, datum: CartanDatum) -> str:
     return text
 
 
-def _display_terms(a: RingElt, datum: CartanDatum):
-    """Terms ordered for printing: descending root-lattice height, so the
-    constant term leads and deeper exponentials follow."""
-
-    def key(item):
-        lam, _ = item
-        alpha = rootsys.omega_to_alpha(datum, lam)
-        if alpha is None:
-            return (1, lam)
-        return (0, tuple(-x for x in (sum(alpha),) + alpha))
-
-    return sorted(a.terms(), key=key)
+def _display_key(term):
+    """Print order of ``_root_terms``: descending root-lattice height, so the
+    constant term leads, then the exponents off the root lattice."""
+    alpha, lam, _ = term
+    if alpha is None:
+        return (1, lam)
+    return (0, tuple(-x for x in (sum(alpha),) + alpha))
 
 
 def _format_exponent(coords, var: str) -> str:
@@ -528,34 +537,13 @@ def parse_expression(datum: CartanDatum, text: str) -> RingElt:
 
 def _tokenize(text: str):
     out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*()":
-            out.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            out.append(int(text[i:j]))
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum()):
-                j += 1
-            word = text[i:j]
-            if word == "e":
-                out.append("e")
-            elif word.startswith("a") and word[1:].isdigit():
-                out.append(word)
-            elif word.startswith("e") and len(word) == 1:
-                out.append("e")
-            else:
-                raise ValueError(f"unknown symbol {word!r}")
-            i = j
+    for tok in re.findall(r"\d+|[^\W_]+|\S", text):
+        if tok.isdigit():
+            out.append(int(tok))
+        elif tok in ("e", "+", "-", "*", "(", ")") or (tok[0] == "a" and tok[1:].isdigit()):
+            out.append(tok)
+        elif tok[0].isalpha():
+            raise ValueError(f"unknown symbol {tok!r}")
         else:
-            raise ValueError(f"unexpected character {ch!r}")
+            raise ValueError(f"unexpected character {tok!r}")
     return out

@@ -191,15 +191,10 @@ def named_datum(label: str) -> CartanDatum:
     elif family == "D":
         if n < 3:
             raise CartanError("type D needs rank >= 3")
-        a = _chain_matrix(n - 1)
-        for row in a:
-            row.append(0)
-        a.append([0] * n)
-        a[n - 1][n - 1] = 2
-        a[n - 3][n - 1] = a[n - 1][n - 3] = -1
+        a = _chain_matrix(n)
+        # nodes n-1 and n both hang off node n-2: move node n off node n-1
         a[n - 2][n - 1] = a[n - 1][n - 2] = 0
-        # reattach the chain end: nodes n-1 and n both hang off node n-2
-        a[n - 3][n - 2] = a[n - 2][n - 3] = -1
+        a[n - 3][n - 1] = a[n - 1][n - 3] = -1
     elif family == "E":
         if n not in (6, 7, 8):
             raise CartanError("type E needs rank 6, 7 or 8")
@@ -263,51 +258,42 @@ def resolve_group(name: str) -> CartanDatum:
 
 # -- queries -----------------------------------------------------------------
 
-def _check_index(datum: CartanDatum, i: int):
+def check_index(datum: CartanDatum, i: int):
     if not 1 <= i <= datum.rank:
         raise IndexError(f"node index {i} out of range 1..{datum.rank}")
 
 
 def adjacent(datum: CartanDatum, i: int, j: int) -> bool:
     """True iff nodes i and j are joined in the Dynkin diagram."""
-    _check_index(datum, i)
-    _check_index(datum, j)
+    check_index(datum, i)
+    check_index(datum, j)
     if i == j:
         raise ValueError("adjacency needs two distinct nodes")
     return datum.cartan[i - 1][j - 1] != 0
 
 
-@lru_cache(maxsize=None)
-def _components(datum: CartanDatum) -> tuple[frozenset[int], ...]:
-    seen = set()
-    comps = []
-    for start in range(1, datum.rank + 1):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(1, datum.rank + 1):
-                if j not in comp and j != i and datum.cartan[i - 1][j - 1] != 0:
-                    comp.add(j)
-                    stack.append(j)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return tuple(comps)
+def component(datum: CartanDatum, i: int, nodes) -> set[int]:
+    """The connected component of node i in the Dynkin diagram on ``nodes``."""
+    comp = {i}
+    stack = [i]
+    while stack:
+        j = stack.pop()
+        for m in nodes:
+            if m not in comp and datum.cartan[j - 1][m - 1] != 0:
+                comp.add(m)
+                stack.append(m)
+    return comp
 
 
 def is_long(datum: CartanDatum, i: int) -> bool:
     """True iff alpha_i is a long root (maximal d in its Dynkin component)."""
-    _check_index(datum, i)
-    for comp in _components(datum):
-        if i in comp:
-            return datum.symmetrizer[i - 1] == max(datum.symmetrizer[j - 1] for j in comp)
-    raise AssertionError  # pragma: no cover
+    check_index(datum, i)
+    comp = component(datum, i, range(1, datum.rank + 1))
+    return datum.symmetrizer[i - 1] == max(datum.symmetrizer[j - 1] for j in comp)
 
 
 def simple_root(datum: CartanDatum, i: int) -> Root:
-    _check_index(datum, i)
+    check_index(datum, i)
     return Root(tuple(1 if j == i - 1 else 0 for j in range(datum.rank)))
 
 
@@ -364,7 +350,7 @@ def weight_to_root(datum: CartanDatum, weight: Weight) -> Root | None:
 
 def reflect(datum: CartanDatum, i: int, weight: Weight) -> Weight:
     """Simple reflection s_i acting on a weight: lam - <lam, alpha_i^vee> alpha_i."""
-    _check_index(datum, i)
+    check_index(datum, i)
     c = weight.coords[i - 1]
     col = tuple(datum.cartan[j][i - 1] for j in range(datum.rank))
     return Weight(tuple(x - c * y for x, y in zip(weight.coords, col)))

@@ -174,6 +174,7 @@ class WeylGroup:
         self._intern: dict[tuple, WeylElement] = {}
         self._bruhat: dict[tuple[WeylElement, WeylElement], bool] = {}
         self._elements: tuple[WeylElement, ...] | None = None
+        self._wp: dict[frozenset[int], tuple[WeylElement, ...]] = {}
         n = datum.rank
         self.identity = self.intern(tuple(tuple(1 if i == j else 0 for i in range(n)) for j in range(n)))
         self._simple = tuple(
@@ -195,8 +196,7 @@ class WeylGroup:
         return el
 
     def simple(self, k: int) -> WeylElement:
-        if not 1 <= k <= self.rank:
-            raise IndexError(f"node index {k} out of range 1..{self.rank}")
+        rootsys.check_index(self.datum, k)
         return self._simple[k - 1]
 
     def left_mult_gen(self, k: int, w: WeylElement) -> WeylElement:
@@ -348,9 +348,12 @@ def min_coset_rep(w: WeylElement, p) -> WeylElement:
 
 
 def enumerate_wp(group: WeylGroup, p) -> tuple[WeylElement, ...]:
-    """All minimal coset representatives W^P, sorted by (length, word)."""
+    """All minimal coset representatives W^P, sorted by (length, word), memoised per P."""
     p = normalize_parabolic(group.datum, p)
-    return tuple(w for w in group.elements() if in_wp(w, p))
+    got = group._wp.get(p)
+    if got is None:
+        got = group._wp.setdefault(p, tuple(w for w in group.elements() if in_wp(w, p)))
+    return got
 
 
 def hecke_down(w: WeylElement, k: int) -> WeylElement:
@@ -365,8 +368,7 @@ def hecke_up(w: WeylElement, k: int) -> WeylElement:
 
 def _check_k_not_in_p(datum, p, k):
     p = normalize_parabolic(datum, p)
-    if not 1 <= k <= datum.rank:
-        raise IndexError(f"node index {k} out of range 1..{datum.rank}")
+    rootsys.check_index(datum, k)
     if k in p:
         raise ValueError(f"alpha_{k} lies in the parabolic set")
     return p
@@ -384,15 +386,7 @@ def in_class_P(datum: CartanDatum, p, k: int) -> bool:
     p = _check_k_not_in_p(datum, p, k)
     if rootsys.is_long(datum, k):
         return True
-    nodes = set(p) | {k}
-    comp = {k}
-    stack = [k]
-    while stack:
-        i = stack.pop()
-        for j in nodes:
-            if j not in comp and j != i and datum.cartan[i - 1][j - 1] != 0:
-                comp.add(j)
-                stack.append(j)
+    comp = rootsys.component(datum, k, p | {k})
     a = datum.cartan
     return all(a[i - 1][j - 1] * a[j - 1][i - 1] <= 1 for i in comp for j in comp if i != j)
 

@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,6 +104,63 @@ def test_exact_divide_examples():
         exact_divide(RingElt.one(2) - e(A2, -1, 0), RingElt.one(2) - e(A2, 0, -1))
     with pytest.raises(ZeroDivisionError):
         exact_divide(one, RingElt.zero(1))
+
+
+def test_exact_divide_checks_long_walks():
+    m = lambda c: RingElt.monomial(3, c)  # noqa: E731
+    one, step = m((0, 0, 0)), m((0, -1, 1))
+    # 300 quotient terms pass the checks at 64, 128 and 256 terms
+    assert len(exact_divide(one - m((0, -300, 300)), one - step)) == 300
+    # near the edge of a field every term is checked, and exact quotients pass
+    top = m((2**23 - 4, 0, 0))
+    geometric = exact_divide(one - m((0, -9, 9)), one - step)
+    assert exact_divide(top * (one - m((0, -9, 9))), one - step) == top * geometric
+
+
+_HANGING_DIVISIONS = {
+    "degree-0 drift": (
+        "from qkline.repring import RingElt, exact_divide, NotDivisible\n"
+        "m = lambda c: RingElt.monomial(3, c)\n"
+        "try:\n"
+        "    exact_divide(m((1, 0, -1)) - m((0, 5, -5)), m((0, 0, 0)) - m((0, -1, 1)))\n"
+        "except NotDivisible:\n"
+        "    print('raised')\n"
+    ),
+    "drift at the field edge": (
+        "from qkline.repring import RingElt, exact_divide, NotDivisible\n"
+        "m = lambda c: RingElt.monomial(3, c)\n"
+        "x = 2**23 - 3\n"
+        "try:\n"
+        "    exact_divide(m((x, 0, -1)) - m((x - 1, 6, -5)), m((0, 0, 0)) - m((0, -1, 1)))\n"
+        "except NotDivisible:\n"
+        "    print('raised')\n"
+    ),
+    "class off the moment graph": (
+        "from qkline import KTEngine, named_datum\n"
+        "from qkline.ktheory import ExpansionError, KClass\n"
+        "from qkline.repring import RingElt\n"
+        "from qkline.rootsys import alpha_to_omega\n"
+        "d = named_datum('A3')\n"
+        "engine = KTEngine(d)\n"
+        "value = RingElt.monomial(3, alpha_to_omega(d, (1, 0, 0))) - 1\n"
+        "try:\n"
+        "    engine.expand(KClass(d, {engine.W.identity: value}))\n"
+        "except ExpansionError:\n"
+        "    print('raised')\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HANGING_DIVISIONS))
+def test_division_that_is_not_exact_raises_without_hanging(name):
+    # in a subprocess with a timeout: a walk that does not stop fails here instead of stalling the run;
+    # each case raises in milliseconds, and took from 30 s to minutes when only the trailing bound was checked
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _HANGING_DIVISIONS[name]], capture_output=True, text=True, timeout=15, env=env
+    )
+    assert proc.stdout.strip() == "raised", proc.stderr[-500:]
 
 
 def test_divides_one_minus_e_matches_exact_division():
@@ -210,10 +272,14 @@ def test_parse_expression():
         RingElt.one(2) - e(A2, -1, -1) - e(A2, -2, -1)
     )
     assert parse_expression(A2, "3*e(a1)") == 3 * e(A2, 1, 0)
-    with pytest.raises(ValueError):
-        parse_expression(A2, "e(-a3)")
-    with pytest.raises(ValueError):
-        parse_expression(A2, "q1")
+    assert parse_expression(A2, "e(-2 a1)") == e(A2, -2, 0)
+    for text, message in [
+        ("e(-a3)", "out of range"), ("q1", "unknown symbol"), ("e2", "unknown symbol"),
+        ("1e3", "unknown symbol"), ("a1", "parse error"), ("$", "unexpected character"),
+        ("\u00b2", "invalid literal"),  # a digit that int() refuses
+    ]:
+        with pytest.raises(ValueError, match=message):
+            parse_expression(A2, text)
 
 
 def test_format_elt():
@@ -222,6 +288,10 @@ def test_format_elt():
     assert repring.format_elt(-e(A2, -1, -1), A2) == "-e^{-a1-a2}"
     assert repring.format_elt(2 * e(A2, -2, -1), A2) == "2e^{-2a1-a2}"
     assert repring.format_elt(RingElt.monomial(2, (1, 0)), A2) == "e^{w1}"
+    # root terms by descending height, then the terms off the root lattice
+    mixed = 3 * RingElt.monomial(2, (1, 0)) + e(A2, -1, -1) - RingElt.monomial(2, (0, -1))
+    mixed = mixed + RingElt.one(2) - e(A2, -1, 0) + e(A2, 1, 0)
+    assert repring.format_elt(mixed, A2) == "e^{a1} + 1 - e^{-a1} + e^{-a1-a2} - e^{-w2} + 3e^{w1}"
 
 
 def test_packed_order_is_graded_lex():

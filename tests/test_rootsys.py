@@ -36,10 +36,18 @@ def test_positive_roots_a1():
 @pytest.mark.parametrize(
     "label,count",
     [("A1", 1), ("A2", 3), ("A3", 6), ("A4", 10), ("B2", 4), ("C2", 4),
-     ("B3", 9), ("C3", 9), ("B4", 16), ("C4", 16), ("D4", 12), ("G2", 6), ("F4", 24)],
+     ("B3", 9), ("C3", 9), ("B4", 16), ("C4", 16), ("D3", 6), ("D4", 12), ("D5", 20), ("D6", 30),
+     ("G2", 6), ("F4", 24)],
 )
 def test_positive_root_counts(label, count):
     assert len(positive_roots(named_datum(label))) == count
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_type_d_nodes_n_minus_1_and_n_hang_off_node_n_minus_2(n):
+    d = named_datum(f"D{n}")
+    edges = {(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if adjacent(d, i, j)}
+    assert edges == {(i, i + 1) for i in range(1, n - 1)} | {(n - 2, n)}
 
 
 def test_adjacency():
@@ -62,6 +70,8 @@ def test_is_long():
     # simply laced: every root is long
     assert is_long(named_datum("A2"), 1)
     assert is_long(named_datum("D4"), 3)
+    assert rootsys.component(named_datum("A3"), 1, {1, 3}) == {1}
+    assert rootsys.component(named_datum("D4"), 4, {1, 2, 4}) == {1, 2, 4}
 
 
 def test_simple_root_in_weight_coordinates():

@@ -150,6 +150,14 @@ def test_enumerate_wp():
     assert [w.word_str for w in enumerate_wp(group("A1"), ())] == ["e", "1"]
 
 
+def test_enumerate_wp_is_memoised_per_parabolic():
+    W = group("A3")
+    reps = enumerate_wp(W, {1, 3})
+    assert enumerate_wp(W, [3, 1]) is reps
+    assert enumerate_wp(W, ()) is enumerate_wp(W, frozenset())
+    assert enumerate_wp(W, {2}) is not reps
+
+
 def test_wp_size_divides_group_order():
     for label in ("A3", "C3", "G2"):
         W = group(label)
