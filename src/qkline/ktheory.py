@@ -6,19 +6,29 @@ moment-graph edges: for every point ``w`` and positive root ``beta``, the
 difference of values at ``w`` and ``s_beta w`` is divisible by
 ``1 - e^beta``.  Products are pointwise.
 
-Schubert classes are built by a descending Demazure recursion from the point
-class at the longest element,
+Schubert classes are built on ``W^P`` by the K-theoretic Billey formula
+(Graham 2002, Willems 2004), which has no division: for a reduced word
+``w = s_{i_1} ... s_{i_l}`` and ``beta_j = s_{i_1} ... s_{i_{j-1}} alpha_{i_j}``,
 
-    basis seed:  O^{w_0}|_w = [w == w_0] * prod_{beta > 0} (1 - e^{-beta}),
-    step:        (D_k f)(w) = (f(w) - e^{w(alpha_k)} f(w s_k)) / (1 - e^{w(alpha_k)}),
+    O^v|_w = sum_J (-1)^{|J| - l(v)} prod_{j in J} (1 - e^{-beta_j}),
 
-so that ``D_k O^v = O^{v_k}`` (Hecke lowering of the basis index).  The
-resulting classes satisfy
+over the subwords J whose Demazure (0-Hecke) product is v.  Peeling the
+first letter, ``w = s_k w'``, gives a left recursion: the column
+``x -> O^x|_w`` is the column of ``w'`` twisted by ``s_k``, with the twist at
+``x`` times ``e^{-alpha_k}`` when ``s_k x < x``, and the twist times
+``1 - e^{-alpha_k}`` added at ``s_k x`` when ``s_k x > x``.  It never leaves
+``W^P``: ``w'`` is in ``W^P`` with ``w``, and a point ``x`` outside ``W^P``
+has a descent in ``P`` that ``s_k x`` keeps, so it is dropped.  One pass
+over ``W^P`` by length fills every class of the parabolic.  The classes
+satisfy
 
 * triangularity: ``O^v|_w = 0`` unless ``v <= w`` in Bruhat order,
 * the diagonal formula ``O^v|_v = prod (1 - e^{-beta})`` over the positive
   roots sent negative by ``v^{-1}``,
-* ``O^id = 1``.
+* ``O^id = 1``,
+* ``D_k O^v = O^{v_k}`` for the moment-graph Demazure operator
+
+    (D_k f)(w) = (f(w) - e^{w(alpha_k)} f(w s_k)) / (1 - e^{w(alpha_k)}).
 
 A class on a parabolic quotient ``G/P`` is stored by its values at the
 fixed points of ``G/P``, the minimal representatives ``W^P``; as a function
@@ -27,15 +37,14 @@ on G/P: going to a bigger parabolic it first checks, at every point of the
 class's own quotient (zeros included), that the class is constant on the
 cosets of the new parabolic, and raises :class:`ExpansionError` otherwise,
 since such a class is not in the span of the ``W^P`` Schubert classes.
-For ``v`` in ``W^P`` the Schubert class ``O^v`` is built on G/B by the
-recursion above and descended to G/P, so it passes the same check.
 
 Structure constants for a parabolic quotient are computed on G/P: the
 pointwise product of ``O^u`` and ``O^v`` and the triangular solve against
 the diagonal values visit the ``W^P`` points only.  The final leftover check
-loses nothing by that: every class in a product or a solve has passed the
-coset check, so the leftover is constant on cosets, and zero at ``W^P``
-means zero on all of W.  The Borel quotient (``P`` empty) is the case in
+loses nothing by that: every class in a product or a solve is a class on
+G/P (a Schubert class is built there; any other class has passed the coset
+check), so the leftover is constant on cosets, and zero at ``W^P`` means
+zero on all of W.  The Borel quotient (``P`` empty) is the case in
 which nothing is restricted.  The pushforward to a point is the sum of
 expansion coefficients, because every Schubert class has sheaf Euler
 characteristic 1.
@@ -127,21 +136,48 @@ class KTEngine:
         return out
 
     def schubert_class(self, v: WeylElement, parabolic=()) -> KClass:
-        """O^v on G/B, or, for v in W^P, on G/P: the class on G/B descended."""
+        """O^v on G/P (G/B for P empty), v in W^P; the first call for a
+        parabolic builds all of its classes at once."""
         p = weyl.normalize_parabolic(self.datum, parabolic)
         got = self._schubert.get((v, p))
-        if got is not None:
-            return got
-        if p:
+        if got is None:
             weyl.require_wp(v, p)
-            cls = self.descend(self.schubert_class(v), p)
-        elif v is self.W.longest():
-            self.W.elements()  # refuses a group too large to enumerate before any class is built
-            cls = KClass(self.datum, {v: self.diagonal_value(v)})
-        else:
-            k = next(i for i in range(1, self.rank + 1) if not v.has_right_descent(i))
-            cls = self.demazure(self.schubert_class(self.W.right_mult_gen(v, k)), k)
-        return self._schubert.setdefault((v, p), cls)
+            self._build_classes(p)
+            got = self._schubert[(v, p)]
+        return got
+
+    def _build_classes(self, p: frozenset[int]) -> None:
+        """Every O^v, v in W^P, on G/P by the left recursion of the module
+        docstring, in one pass over W^P by length; the classes are stored
+        with setdefault.  Every exponent of a value is minus a sum of
+        distinct positive roots, so ``bound`` bounds every twist."""
+        W, datum = self.W, self.datum
+        reps = weyl.enumerate_wp(W, p)  # refuses a group too large to enumerate
+        weights = [rootsys.alpha_to_omega(datum, beta) for beta in self._pos_roots]
+        bound = max(sum(abs(lam[i]) for lam in weights) for i in range(self.rank))
+        cols = {W.identity: {W.identity: self.ring_one()}}
+        for w in reps[1:]:
+            k = w.word[0]
+            alpha = rootsys.alpha_to_omega(datum, rootsys.simple_root(datum, k).coords)
+            one_minus_e = self._one_minus_e(tuple(-x for x in alpha))
+            e = self.ring_one() - one_minus_e  # e^{-alpha_k}
+            col: dict[WeylElement, RingElt] = {}
+            for x, val in cols[W.left_mult_gen(k, w)].items():
+                t = repring.simple_reflection(val, datum, k, bound)
+                if x.has_left_descent(k):
+                    accumulate(col, x, e * t)
+                    continue
+                accumulate(col, x, t)
+                y = W.left_mult_gen(k, x)
+                if weyl.in_wp(y, p):
+                    accumulate(col, y, one_minus_e * t)
+            cols[w] = col
+        rows: dict[WeylElement, dict[WeylElement, RingElt]] = {v: {} for v in reps}
+        for w, col in cols.items():
+            for x, val in col.items():
+                rows[x][w] = val
+        for v, vals in rows.items():
+            self._schubert.setdefault((v, p), KClass(datum, vals, p))
 
     def opposite_schubert_class(self, w: WeylElement) -> KClass:
         """O_w, defined from O^{w_0 w} by the symmetry twisting both the point

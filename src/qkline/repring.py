@@ -271,6 +271,33 @@ def weyl_act(w, a: RingElt) -> RingElt:
     return a.map_exponents(w.act_weight)
 
 
+def simple_reflection(a: RingElt, datum: CartanDatum, k: int, bound: int | None = None) -> RingElt:
+    """``weyl_act(s_k, a)`` on packed keys: ``s_k lam = lam - lam_k alpha_k``,
+    and packing is additive, so each key moves by ``lam_k * packed(alpha_k)``.
+    The result's bound is ``a``'s times ``1 + max |alpha_k|``; a caller that
+    has proved a smaller bound on the result passes it as ``bound``.  When
+    the bound reaches the edge of a field, the terms go through the checked
+    packing instead, which raises ValueError."""
+    if a.rank != datum.rank:
+        raise ValueError("rank mismatch between ring element and root datum")
+    alpha, shift, step = _reflection_step(datum, k)
+    generic = a._bound * (1 + max(map(abs, alpha)))
+    bound = generic if bound is None else min(bound, generic)
+    if bound >= _COORD_OFF:
+        return a.map_exponents(lambda lam: tuple(x - lam[k - 1] * y for x, y in zip(lam, alpha)))
+    mask = (1 << _COORD_BITS) - 1
+    terms = {key - (((key >> shift) & mask) - _COORD_OFF) * step: c for key, c in a._terms.items()}
+    return RingElt(a.rank, terms, bound)
+
+
+@lru_cache(maxsize=None)
+def _reflection_step(datum: CartanDatum, k: int):
+    """alpha_k in weight coordinates, the shift of field k and packed(alpha_k)."""
+    alpha = rootsys.alpha_to_omega(datum, rootsys.simple_root(datum, k).coords)
+    shifts, _, key0, _ = _codec(datum.rank)
+    return alpha, shifts[k - 1], _pack(datum.rank, alpha) - key0
+
+
 def exact_divide(a: RingElt, b: RingElt) -> RingElt:
     """The exact quotient q with a == b*q, when it exists in the ring."""
     a._check(b)
@@ -536,14 +563,19 @@ def parse_expression(datum: CartanDatum, text: str) -> RingElt:
 
 
 def _tokenize(text: str):
+    """Integers and symbols are ASCII; any other character, a non-ASCII
+    digit included, is unexpected."""
     out = []
-    for tok in re.findall(r"\d+|[^\W_]+|\S", text):
+    for tok in re.findall(r"[0-9]+|[^\W_]+|\S", text):
+        bad = next((ch for ch in tok if not ch.isascii()), None)
+        if bad is not None:
+            raise ValueError(f"unexpected character {bad!r} in {text!r}")
         if tok.isdigit():
             out.append(int(tok))
         elif tok in ("e", "+", "-", "*", "(", ")") or (tok[0] == "a" and tok[1:].isdigit()):
             out.append(tok)
         elif tok[0].isalpha():
-            raise ValueError(f"unknown symbol {tok!r}")
+            raise ValueError(f"unknown symbol {tok!r} in {text!r}")
         else:
-            raise ValueError(f"unexpected character {tok!r}")
+            raise ValueError(f"unexpected character {tok!r} in {text!r}")
     return out

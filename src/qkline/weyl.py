@@ -26,9 +26,10 @@ from . import rootsys
 from .rootsys import CartanDatum
 
 
-# Largest |W| that WeylGroup.elements() enumerates.  A Schubert class is a
-# function on all of W, so the classes of a group this size already hold
-# millions of ring elements.  The demos and the benchmark enumerate at most
+# Largest |W| that WeylGroup.elements() enumerates.  A Schubert class on G/B
+# is a function on all of W, so the classes of a group this size already hold
+# millions of ring elements, and enumerate_wp finds W^P by filtering W, so
+# this also bounds every quotient.  The demos and the benchmark enumerate at most
 # D4 (192), the tests D5 (1,920); A6 (5,040) still fits, while A7 (40,320),
 # E6 (51,840) and E8 (696,729,600) are refused.
 MAX_ELEMENTS = 10_000

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -97,8 +98,9 @@ def test_gkm_condition_for_all_classes(engine):
 
 
 def test_demazure_consistency(engine):
-    # the moment-graph operator reproduces the Hecke move on basis indices
-    for label in ("A2", "C2"):
+    # the moment-graph operator reproduces the Hecke move on basis indices;
+    # the classes come from the left recursion, so two constructions meet
+    for label in ("A2", "C2", "G2", "B3"):
         e = engine(label)
         for v in e.W.elements():
             for k in range(1, e.rank + 1):
@@ -376,15 +378,59 @@ def test_brion_sign_alternation_small(engine):
 
 
 def test_expand_divides_by_the_stored_diagonal(monkeypatch):
-    # diagonal_value seeds the Demazure recursion once; expand reads O^v|_v
-    # from the memoised class instead of rebuilding it at every basis step
+    # neither building the classes nor expand calls diagonal_value: expand
+    # reads O^v|_v from the memoised class instead of rebuilding it
     e = KTEngine(named_datum("A3"))
     calls = []
     real = KTEngine.diagonal_value
     monkeypatch.setattr(KTEngine, "diagonal_value", lambda self, v: calls.append(v) or real(self, v))
     s1, s2 = e.W.simple(1), e.W.simple(2)
     assert e.structure_constants(s1, s2).coeffs
-    assert calls == [e.W.longest()]
+    assert calls == []
+
+
+_DEMAZURE: dict = {}
+
+
+def _demazure_classes(e):
+    """Every O^v on G/B by the right Demazure recursion, seeded at w0 by the
+    diagonal value: an independent construction of the classes."""
+    got = _DEMAZURE.get(e.datum)
+    if got is None:
+        W = e.W
+        w0 = W.longest()
+        got = {w0: KClass(e.datum, {w0: e.diagonal_value(w0)})}
+        for v in sorted(W.elements(), key=lambda w: -w.length)[1:]:
+            k = next(i for i in range(1, e.rank + 1) if not v.has_right_descent(i))
+            got[v] = e.demazure(got[W.right_mult_gen(v, k)], k)
+        _DEMAZURE[e.datum] = got
+    return got
+
+
+@pytest.mark.parametrize(
+    "label, p",
+    [("A2", ()), ("B2", ()), ("G2", ()), ("A3", ()), ("B3", ()), ("A4", ()), ("A3", (1,)), ("C3", (1, 2)),
+     ("D4", (2, 3, 4)), ("D4", (1, 3, 4)), ("A4", (1, 3, 4))],
+    ids=lambda x: x if isinstance(x, str) else "P" + "".join(map(str, x)),
+)
+def test_left_recursion_matches_the_demazure_recursion(engine, label, p):
+    e = engine(label)
+    reference = _demazure_classes(e)
+    reps = weyl.enumerate_wp(e.W, p)
+    for v in reps:
+        cls = e.schubert_class(v, p)
+        assert cls.parabolic == frozenset(p) and set(cls.restrictions) <= set(reps)
+        expected = e.descend(reference[v], p)
+        assert {w: cls.value(w) for w in reps} == {w: expected.value(w) for w in reps}, v.word_str
+
+
+@pytest.mark.parametrize("p", [(), tuple(range(1, 8))], ids=["B", "P1234567"])
+def test_classes_of_a_group_too_large_to_enumerate_are_refused(p):
+    e = KTEngine(named_datum("E8"))
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="more than"):
+        e.schubert_class(e.W.identity, p)
+    assert time.perf_counter() - t0 < 1.0
 
 
 # -- classes on G/P ------------------------------------------------------------

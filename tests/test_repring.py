@@ -276,7 +276,9 @@ def test_parse_expression():
     for text, message in [
         ("e(-a3)", "out of range"), ("q1", "unknown symbol"), ("e2", "unknown symbol"),
         ("1e3", "unknown symbol"), ("a1", "parse error"), ("$", "unexpected character"),
-        ("\u00b2", "invalid literal"),  # a digit that int() refuses
+        # digits are ASCII: a superscript, an Arabic-Indic and a fullwidth digit
+        ("\u00b2", "unexpected character"), ("\u0663", "unexpected character"),
+        ("3*e(a\uff11)", "unexpected character"),
     ]:
         with pytest.raises(ValueError, match=message):
             parse_expression(A2, text)
@@ -362,5 +364,34 @@ def test_products_and_quotients_round_trip_or_raise_at_field_edges(x, y):
         if fits(want):
             assert [lam for lam, _ in build().terms()] == [want]
         else:
+            with pytest.raises(ValueError, match="outside"):
+                build()
+
+
+@settings(max_examples=200)
+@given(
+    st.sampled_from(["A2", "B2", "G2"]), st.sampled_from([1, 2]), ring_elts(), st.tuples(_edge_coord, _edge_coord)
+)
+def test_simple_reflection_matches_weyl_act_or_raises_at_field_edges(label, k, a, x):
+    datum = named_datum(label)
+    s_k = WeylGroup.for_datum(datum).simple(k)
+    assert repring.simple_reflection(a, datum, k) == weyl_act(s_k, a)
+
+    def fits(coords):
+        return all(-_EDGE <= c < _EDGE for c in coords)
+
+    if not fits(x):
+        return
+    alpha = alpha_to_omega(datum, tuple(int(i == k - 1) for i in range(2)))
+    want = tuple(c - x[k - 1] * y for c, y in zip(x, alpha))
+    m = RingElt.monomial(2, x, 3)
+    builds = [lambda: repring.simple_reflection(m, datum, k), lambda: weyl_act(s_k, m)]
+    if fits(want):
+        # a caller-proved bound takes the packed path right up to the edge
+        builds.append(lambda: repring.simple_reflection(m, datum, k, max(map(abs, want))))
+        for build in builds:
+            assert build().terms() == [(want, 3)]
+    else:
+        for build in builds:
             with pytest.raises(ValueError, match="outside"):
                 build()
