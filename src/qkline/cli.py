@@ -25,11 +25,8 @@ from .repring import RingElt
 
 
 def _parse_parabolic(text: str) -> tuple[int, ...]:
-    text = (text or "").strip()
-    if not text:
-        return ()
     try:
-        return tuple(int(x) for x in text.split(",") if x.strip())
+        return tuple(weyl.parse_digits(x.strip()) for x in text.split(",") if x.strip())
     except ValueError:
         raise GateError(f"cannot parse parabolic node list {text!r}") from None
 
@@ -194,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
         for word in need_words:
             p.add_argument(f"--{word}", required=True, help=f"Weyl word for {word} (digits, 'e' for identity)")
         if need_k:
-            p.add_argument("--k", type=int, required=True, help="simple-root node index")
+            p.add_argument("--k", type=weyl.parse_digits, required=True, help="simple-root node index")
 
     t = sub.add_parser("table", help="multiplication table, truncated after the q-linear terms")
     common(t)

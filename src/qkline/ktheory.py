@@ -32,22 +32,17 @@ satisfy
 
 A class on a parabolic quotient ``G/P`` is stored by its values at the
 fixed points of ``G/P``, the minimal representatives ``W^P``; as a function
-on W it is constant on every coset ``w W_P``.  ``descend`` restates a class
-on G/P: going to a bigger parabolic it first checks, at every point of the
-class's own quotient (zeros included), that the class is constant on the
-cosets of the new parabolic, and raises :class:`ExpansionError` otherwise,
-since such a class is not in the span of the ``W^P`` Schubert classes.
+on W it is constant on every coset ``w W_P``.  Operations take classes on
+one quotient, and a class moves between quotients only through its Schubert
+expansion (``pullback``, ``pushforward``).
 
 Structure constants for a parabolic quotient are computed on G/P: the
 pointwise product of ``O^u`` and ``O^v`` and the triangular solve against
-the diagonal values visit the ``W^P`` points only.  The final leftover check
-loses nothing by that: every class in a product or a solve is a class on
-G/P (a Schubert class is built there; any other class has passed the coset
-check), so the leftover is constant on cosets, and zero at ``W^P`` means
-zero on all of W.  The Borel quotient (``P`` empty) is the case in
-which nothing is restricted.  The pushforward to a point is the sum of
-expansion coefficients, because every Schubert class has sheaf Euler
-characteristic 1.
+the diagonal values visit the ``W^P`` points only.  A class on G/P has no
+values elsewhere, so the solve's leftover check at those points is the
+whole check.  The Borel quotient (``P`` empty) is the case in which nothing
+is restricted.  The pushforward to a point is the sum of expansion
+coefficients, because every Schubert class has sheaf Euler characteristic 1.
 
 All caches are append-only with value-identical recomputation, so the engine
 may be shared across threads.
@@ -64,13 +59,13 @@ from .weyl import WeylElement, WeylGroup
 
 
 class ExpansionError(ValueError):
-    """Input class is not in the span of the requested Schubert basis."""
+    """Input class is not in the span of the Schubert basis of its quotient."""
 
 
 @dataclass(frozen=True)
 class KClass:
     """A coefficient-ring-valued function on the fixed points (sparse) of
-    G/P: its restrictions are the values at the points of W^P."""
+    G/P, the points of W^P; operations read the quotient off ``parabolic``."""
 
     datum: CartanDatum
     restrictions: dict[WeylElement, RingElt]
@@ -111,7 +106,6 @@ class KTEngine:
         self._schubert: dict[tuple, KClass] = {}
         self._opposite: dict[WeylElement, KClass] = {}
         self._constants: dict[tuple, SchubertExpansion] = {}
-        self._cosets: dict[tuple, tuple] = {}
         self._pos_roots = tuple(r.coords for r in rootsys.positive_roots(datum))
         self._reflections: tuple[WeylElement, ...] | None = None
 
@@ -141,6 +135,8 @@ class KTEngine:
         p = weyl.normalize_parabolic(self.datum, parabolic)
         got = self._schubert.get((v, p))
         if got is None:
+            if v.group is not self.W:
+                raise weyl.GroupMismatchError(f"{v!r} of {v.group.datum} is not in the Weyl group of {self.datum}")
             weyl.require_wp(v, p)
             self._build_classes(p)
             got = self._schubert[(v, p)]
@@ -199,7 +195,7 @@ class KTEngine:
     def demazure(self, c: KClass, k: int) -> KClass:
         """The moment-graph form of the degree-lowering operator along edges
         (w, w s_k); sends O^v to O^{v_k} and is idempotent.  Acts on G/B."""
-        _require_borel(c, "demazure")
+        _require_on(c, frozenset(), "demazure")
         W = self.W
         pts = set(c.restrictions)
         pts |= {W.right_mult_gen(w, k) for w in pts}
@@ -213,11 +209,9 @@ class KTEngine:
         return KClass(self.datum, out)
 
     def multiply(self, c1: KClass, c2: KClass) -> KClass:
-        """Pointwise product of restriction functions, on the intersection of
-        the two parabolics (the product of a class on G/P and one on G/B is
-        a class on G/B)."""
-        p = c1.parabolic & c2.parabolic
-        small, big = (self.descend(c1, p).restrictions, self.descend(c2, p).restrictions)
+        """Pointwise product of two classes on one quotient."""
+        _require_on(c2, c1.parabolic, "multiply")
+        small, big = c1.restrictions, c2.restrictions
         if len(small) > len(big):
             small, big = big, small
         out = {}
@@ -227,55 +221,15 @@ class KTEngine:
                 prod = a * b
                 if prod:
                     out[w] = prod
-        return KClass(self.datum, out, p)
-
-    def descend(self, c: KClass, parabolic) -> KClass:
-        """``c`` as a class on G/P, keeping only its values at the points of
-        W^P.  It must be constant on every coset w W_P; that is checked at
-        every point of c's own quotient, zeros included, and a class that
-        fails is not in the span of the W^P Schubert classes.  To a smaller
-        parabolic this is the pullback, which always exists."""
-        p = weyl.normalize_parabolic(self.datum, parabolic)
-        q = c.parabolic
-        if q == p:
-            return c
-        check, keep = self._coset_map(q, p)
-        vals = c.restrictions
-        zero = self.ring_zero()
-        for a, b in check:
-            if (vals.get(a) or zero) != (vals.get(b) or zero):
-                raise ExpansionError(
-                    f"class is not constant on the cosets of W_P for P = {sorted(p)}: "
-                    f"its values at {a.word_str} and {b.word_str} differ"
-                )
-        return KClass(self.datum, {x: vals[xq] for x, xq in keep if xq in vals}, p)
-
-    def _coset_map(self, q: frozenset[int], p: frozenset[int]) -> tuple:
-        """What restating a class on G/Q as one on G/P reads, memoised per
-        (Q, P).  ``check``: the pairs of G/Q points (x W_Q, x' W_Q), x' the
-        minimal representative of x W_P, for x in W^{Q & P}; a class is
-        constant on the cosets of W_P exactly when it agrees on each pair.
-        ``keep``: (x, minimal representative of x W_Q) for x in W^P."""
-        got = self._cosets.get((q, p))
-        if got is None:
-
-            def rep(x, r):
-                return weyl.min_coset_rep(x, r) if r else x
-
-            pairs = ((rep(x, q), rep(rep(x, p), q)) for x in weyl.enumerate_wp(self.W, q & p))
-            check = tuple((a, b) for a, b in pairs if a is not b)
-            keep = tuple((x, rep(x, q)) for x in weyl.enumerate_wp(self.W, p))
-            got = self._cosets.setdefault((q, p), (check, keep))
-        return got
+        return KClass(self.datum, out, c1.parabolic)
 
     # -- expansion and structure constants -----------------------------------------
 
-    def expand(self, c: KClass, parabolic=()) -> SchubertExpansion:
+    def expand(self, c: KClass) -> SchubertExpansion:
         """Triangular solve for the coefficients of ``c`` in the Schubert
-        basis indexed by the minimal representatives of the parabolic; the
-        class is first descended to G/P, so the solve visits W^P only."""
-        p = weyl.normalize_parabolic(self.datum, parabolic)
-        resid = dict(self.descend(c, p).restrictions)
+        basis of its own quotient G/P; the solve visits W^P only."""
+        p = weyl.normalize_parabolic(self.datum, c.parabolic)
+        resid = dict(c.restrictions)
         coeffs: dict[WeylElement, RingElt] = {}
         for v in weyl.enumerate_wp(self.W, p):
             val = resid.get(v)
@@ -295,7 +249,7 @@ class KTEngine:
         if resid:
             bad = sorted(resid, key=lambda w: w.sort_key)
             raise ExpansionError(
-                "class is not in the requested Schubert span; leftover support at "
+                "class is not in the Schubert span of its quotient; leftover support at "
                 + ", ".join(w.word_str for w in bad[:4])
             )
         return SchubertExpansion(coeffs, p)
@@ -320,7 +274,7 @@ class KTEngine:
         got = self._constants.get(key)
         if got is None:
             prod = self.multiply(self.schubert_class(u, p), self.schubert_class(v, p))
-            got = self._constants.setdefault(key, self.expand(prod, p))
+            got = self._constants.setdefault(key, self.expand(prod))
         return got
 
     # -- functoriality ------------------------------------------------------------
@@ -383,7 +337,7 @@ class KTEngine:
         """Edge-divisibility failures as (point, root) pairs, at most four;
         empty means the class satisfies the moment-graph condition.  Checks
         classes on G/B."""
-        _require_borel(c, "gkm_violations")
+        _require_on(c, frozenset(), "gkm_violations")
         bad = []
         refs = self.reflections()
         seen_pairs = set()
@@ -403,8 +357,9 @@ class KTEngine:
         return bad
 
 
-def _require_borel(c: KClass, op: str) -> None:
-    """Raise ValueError unless ``c`` is a class on G/B: the moment-graph
-    operations walk the edges of G/B."""
-    if c.parabolic:
-        raise ValueError(f"{op} acts on classes on G/B, not on G/P for P = {sorted(c.parabolic)}")
+def _require_on(c: KClass, p: frozenset[int], op: str) -> None:
+    """Raise ValueError unless ``c`` is a class on G/P (the moment-graph
+    operations walk the edges of G/B, so they ask for P empty)."""
+    if c.parabolic != p:
+        want, got = (f"G/P for P = {sorted(q)}" if q else "G/B" for q in (p, c.parabolic))
+        raise ValueError(f"{op} acts on classes on {want}, not on {got}")

@@ -148,7 +148,7 @@ def kgw3(engine: KTEngine, u: WeylElement, v: WeylElement, f: SchubertExpansion,
         engine.schubert_class(hecke_down(v, k), p),
     )
     cls = engine.multiply(cls, engine.schubert_class_of_expansion(f))
-    return engine.euler_characteristic(engine.expand(cls, p))
+    return engine.euler_characteristic(engine.expand(cls))
 
 
 def kgw2(engine: KTEngine, z: WeylElement, w: WeylElement, k: int, p=()) -> RingElt:

@@ -8,7 +8,8 @@ caches (length, reduced word, weight action) are shared.
 
 Words are exchanged with the outside world as digit strings: ``"121"`` means
 ``s_1 s_2 s_1`` (applied right to left as maps), ``"e"`` or ``""`` is the
-identity.  The canonical emitted word is the lexicographically minimal
+identity; from rank 10 on, letters are separated by spaces, as in
+``"1 10 9"``.  The canonical emitted word is the lexicographically minimal
 reduced word.
 
 Immutability: elements never change after interning.  The memo caches
@@ -232,15 +233,14 @@ class WeylGroup:
         text = text.strip()
         if text in ("", "e", "id"):
             return self.identity
-        tokens = text.replace(",", " ").split()
         letters: list[int] = []
-        for tok in tokens:
-            if tok.startswith("s") and tok[1:].isdigit():
-                letters.append(int(tok[1:]))
-            elif tok.isdigit():
-                letters.extend(int(ch) for ch in tok)
-            else:
-                raise ValueError(f"cannot parse Weyl word {text!r}")
+        try:
+            for tok in text.replace(",", " ").split():
+                digits = tok.removeprefix("s")
+                one_letter = tok != digits or self.rank > 9
+                letters.extend(map(parse_digits, [digits] if one_letter else digits))
+        except ValueError:
+            raise ValueError(f"cannot parse Weyl word {text!r}") from None
         if any(not 1 <= k <= self.rank for k in letters):
             raise ValueError(f"word {text!r} uses letters outside 1..{self.rank}")
         return self.from_word(letters)
@@ -289,6 +289,13 @@ class WeylGroup:
 
     def longest(self) -> WeylElement:
         return longest_element(self, range(1, self.rank + 1))
+
+
+def parse_digits(text: str) -> int:
+    """A number in the ASCII digits 0-9 only; int() also reads "٣", "+2" and "1_0"."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{text!r} is not a number in the digits 0-9")
+    return int(text)
 
 
 # -- parabolic machinery -----------------------------------------------------

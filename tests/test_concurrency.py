@@ -11,8 +11,8 @@ from qkline import KTEngine, WeylGroup, named_datum, weyl
 
 
 def test_shared_engine_concurrent_reads_match_serial():
-    # on a quotient the threads also race on the memoised W^P classes and
-    # coset maps that the W^P solve reads
+    # on a quotient the threads also race on the memoised W^P classes that
+    # the W^P solve reads
     for label, p in (("C2", ()), ("A3", (2,))):
         _concurrent_reads_match_serial(label, p)
 

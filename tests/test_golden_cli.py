@@ -115,6 +115,35 @@ def test_cli_neighborhood(capsys):
     assert "not 1-free" in err
 
 
+def test_cli_neighborhood_reads_words_from_rank_10(capsys):
+    for u in ("10", "s10"):
+        code, out, _ = run_cli(capsys, "neighborhood", "X", "--group", "A10", "--u", u, "--k", "1")
+        assert code == 0
+        assert out.splitlines()[0] == "1 10"
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["constant", "--group", "A3", "--u", "٣", "--v", "٣", "--w", "٣٢", "--k", "3"], "٣"),
+        (["constant", "--group", "A3", "--u", "1٣", "--v", "1", "--w", "1", "--k", "1"], "1٣"),
+        (["table", "--group", "A3", "--parabolic", "٣"], "٣"),
+        (["table", "--group", "A3", "--parabolic", "1,+3"], "1,+3"),
+        (["table", "--group", "A3", "--parabolic", "1_0"], "1_0"),
+        (["neighborhood", "X", "--group", "A3", "--u", "2", "--k", "٢"], "٢"),
+        (["neighborhood", "X", "--group", "A3", "--u", "2", "--k", "+1"], "+1"),
+        (["neighborhood", "X", "--group", "A3", "--u", "²", "--k", "1"], "²"),
+    ],
+)
+def test_cli_numbers_are_ascii_digits(capsys, argv, named):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse refuses --k itself
+        code = exc.code
+    assert code == 2
+    assert repr(named) in capsys.readouterr().err
+
+
 def test_cli_table_text_deterministic(capsys):
     args = ("table", "--group", "A1", "--parabolic", "")
     code, out1, _ = run_cli(capsys, *args)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -82,6 +83,42 @@ def test_word_parsing_forms():
         W.parse_word("13")
     with pytest.raises(ValueError):
         W.parse_word("zz")
+
+
+@pytest.mark.parametrize("text", ["٣", "1٣", "s٣", "²", "1²", "s", "+2", "1_2", "s-1"])
+def test_word_letters_are_ascii_digits(text):
+    W = group("A3")
+    with pytest.raises(ValueError, match=re.escape(f"cannot parse Weyl word {text!r}")):
+        W.parse_word(text)
+
+
+def test_parse_digits_reads_ascii_digits_only():
+    assert [weyl.parse_digits(t) for t in ("3", "03", "12")] == [3, 3, 12]
+    for text in ("٣", "²", "+2", "-2", "1_0", " 3", "3.0", ""):
+        with pytest.raises(ValueError, match=re.escape(f"{text!r} is not a number")):
+            weyl.parse_digits(text)
+
+
+@pytest.mark.parametrize("label", ["A2", "G2", "B3", "D4"])
+def test_parse_word_reads_what_format_word_writes(label):
+    W = group(label)
+    assert all(W.parse_word(w.word_str) is w for w in W.elements())
+
+
+@pytest.mark.parametrize("label", ["A10", "D10"])
+def test_parse_word_reads_what_format_word_writes_from_rank_10(label):
+    # separated letters; neither group is enumerated
+    W = group(label)
+    words = [(10,), (1, 10, 9), (10, 9, 8, 7, 6, 5, 4, 3, 2, 1), (2, 10, 3, 8, 10)]
+    for word in words:
+        w = W.from_word(word)
+        assert W.parse_word(w.word_str) is w
+        assert W.parse_word(",".join(map(str, w.word))) is w
+        assert W.parse_word(" ".join(f"s{k}" for k in word)) is w
+    assert " " in W.from_word((1, 10, 9)).word_str
+    assert W.parse_word("10") is W.simple(10)
+    with pytest.raises(ValueError, match="outside 1..10"):
+        W.parse_word("12")  # one letter, s12, from rank 10 on
 
 
 def test_bruhat_examples():
