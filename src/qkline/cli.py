@@ -63,8 +63,6 @@ def cmd_table(args) -> int:
         pairs = [(u, v) for i, u in enumerate(reps) for v in reps[i:]]
     else:
         pairs = [(engine.W.parse_word(args.u), engine.W.parse_word(args.v))]
-        for w in pairs[0]:
-            weyl.require_wp(w, p)
     products = [qklines.qk_product_degree1(engine, u, v, p) for u, v in pairs]
     skipped = sorted({k for prod in products for k in prod.skipped})
     if skipped:

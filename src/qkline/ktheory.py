@@ -266,8 +266,6 @@ class KTEngine:
     def structure_constants(self, u: WeylElement, v: WeylElement, parabolic=()) -> SchubertExpansion:
         """All coefficients of O^u . O^v over the given quotient at once."""
         p = weyl.normalize_parabolic(self.datum, parabolic)
-        weyl.require_wp(u, p)
-        weyl.require_wp(v, p)
         if v.sort_key < u.sort_key:
             u, v = v, u
         key = (u, v, p)

@@ -24,7 +24,9 @@ which this module exposes as an independent route for cross-checking.
 
 Admissibility is a hard gate: outside the admissible class the reduction to
 P_k fails (the comparison map of moduli spaces is not surjective), so every
-operation below refuses such input rather than extrapolate.
+operation below refuses such input rather than extrapolate.  The same gate
+checks every index the operation takes against W^P, since each statement
+holds only for minimal coset representatives.
 """
 
 from __future__ import annotations
@@ -43,7 +45,9 @@ class GateError(ValueError):
     """A quantum operation was invoked outside its proven hypotheses."""
 
 
-def require_k_free(datum, p, k):
+def require_k_free(datum, p, k, *points):
+    """The normalized parabolic, once P is k-free and every point is in W^P;
+    a GateError for the hypothesis, then require_wp's ValueError per point."""
     p = weyl.normalize_parabolic(datum, p)
     if not weyl.is_k_free(datum, p, k):
         raise GateError(
@@ -51,10 +55,13 @@ def require_k_free(datum, p, k):
             f"alpha_{k}, so the space of degree-eps_{k} pointed lines is not the flag "
             "manifold itself"
         )
+    for x in points:
+        require_wp(x, p)
     return p
 
 
-def require_admissible(datum, p, k):
+def require_admissible(datum, p, k, *points):
+    """As require_k_free, for an admissible pair (P, alpha_k)."""
     p = weyl.normalize_parabolic(datum, p)
     if not weyl.in_class_P(datum, p, k):
         raise GateError(
@@ -62,6 +69,8 @@ def require_admissible(datum, p, k):
             f"its component inside Delta_P + {{alpha_{k}}} is not simply laced; the "
             "reduction to the k-free quotient fails for such pairs"
         )
+    for x in points:
+        require_wp(x, p)
     return p
 
 
@@ -88,8 +97,7 @@ class RichardsonDescriptor:
 def curve_neighborhood(engine: KTEngine, side: str, u: WeylElement, k: int, p=()) -> WeylElement:
     """Index of the union of degree-eps_k lines through a Schubert variety:
     one Hecke move up (lower variety) or down (opposite variety)."""
-    p = require_k_free(engine.datum, p, k)
-    require_wp(u, p)
+    require_k_free(engine.datum, p, k, u)
     side = side.upper()
     if side == "X":
         return hecke_up(u, k)
@@ -101,9 +109,7 @@ def curve_neighborhood(engine: KTEngine, side: str, u: WeylElement, k: int, p=()
 def projected_gw(engine: KTEngine, u: WeylElement, v: WeylElement, k: int, p=()) -> RichardsonDescriptor:
     """The image of the two-pointed line locus: top u^k against bottom v_k.
     The nonempty flag doubles as the test for existence of such lines."""
-    p = require_k_free(engine.datum, p, k)
-    require_wp(u, p)
-    require_wp(v, p)
+    require_k_free(engine.datum, p, k, u, v)
     return RichardsonDescriptor(hecke_up(u, k), hecke_down(v, k))
 
 
@@ -119,11 +125,8 @@ class BoundaryBounds:
 
 
 def boundary_projected_gw(engine: KTEngine, u: WeylElement, v: WeylElement, k: int, p=()) -> BoundaryBounds:
-    p = require_k_free(engine.datum, p, k)
-    require_wp(u, p)
-    require_wp(v, p)
+    outer = projected_gw(engine, u, v, k, p)
     inner = RichardsonDescriptor(u, v)
-    outer = RichardsonDescriptor(hecke_up(u, k), hecke_down(v, k))
     if outer.top is u or outer.bottom is v:
         dim = outer.dimension
     else:
@@ -137,9 +140,7 @@ def boundary_projected_gw(engine: KTEngine, u: WeylElement, v: WeylElement, k: i
 def kgw3(engine: KTEngine, u: WeylElement, v: WeylElement, f: SchubertExpansion, k: int, p=()) -> RingElt:
     """Three-point degree-eps_k invariant against an arbitrary class given by
     its Schubert expansion over the same quotient."""
-    p = require_admissible(engine.datum, p, k)
-    require_wp(u, p)
-    require_wp(v, p)
+    p = require_admissible(engine.datum, p, k, u, v)
     if not weyl.is_k_free(engine.datum, p, k):
         pk = weyl.build_Pk(engine.datum, p, k)
         return kgw3(engine, u, v, engine.pullback(f, pk), k, pk)
@@ -153,9 +154,7 @@ def kgw3(engine: KTEngine, u: WeylElement, v: WeylElement, f: SchubertExpansion,
 
 def kgw2(engine: KTEngine, z: WeylElement, w: WeylElement, k: int, p=()) -> RingElt:
     """Two-point invariant against the dual class: 1 exactly when z_k == w."""
-    p = require_k_free(engine.datum, p, k)
-    require_wp(z, p)
-    require_wp(w, p)
+    require_k_free(engine.datum, p, k, z, w)
     return engine.ring_one() if hecke_down(z, k) is w else engine.ring_zero()
 
 
@@ -174,9 +173,7 @@ class QKConstant:
 def qk_constant_kfree(engine: KTEngine, u, v, w, k, p=()) -> QKConstant:
     """The closed formula for k-free parabolics:
     c_{u_k,v_k}^w - [w has no descent at k] (c_{u,v}^{w s_k} + c_{u,v}^w)."""
-    p = require_k_free(engine.datum, p, k)
-    for x in (u, v, w):
-        require_wp(x, p)
+    p = require_k_free(engine.datum, p, k, u, v, w)
     val = engine.structure_constants(hecke_down(u, k), hecke_down(v, k), p).coeff(w)
     if not w.has_right_descent(k):
         cl = engine.structure_constants(u, v, p)
@@ -187,9 +184,7 @@ def qk_constant_kfree(engine: KTEngine, u, v, w, k, p=()) -> QKConstant:
 def qk_constant_divided_difference(engine: KTEngine, u, v, w, k, p=()) -> QKConstant:
     """Same constant via the operator route: the O^w-coefficient of
     d_k(O^u) . d_k(O^v) - d_k(O^u . O^v)."""
-    p = require_k_free(engine.datum, p, k)
-    for x in (u, v, w):
-        require_wp(x, p)
+    p = require_k_free(engine.datum, p, k, u, v, w)
     first = engine.structure_constants(hecke_down(u, k), hecke_down(v, k), p)
     second = engine.divided_difference(engine.structure_constants(u, v, p), k)
     return QKConstant(u, v, w, k, first.coeff(w) - second.coeff(w))
@@ -198,9 +193,7 @@ def qk_constant_divided_difference(engine: KTEngine, u, v, w, k, p=()) -> QKCons
 def quantum_coefficients(engine: KTEngine, u, v, k, p=()) -> dict[WeylElement, RingElt]:
     """All degree-eps_k constants N_{u,v}^{.,k} at once, by the two
     coset-fibre sums over the k-free reduction."""
-    p = require_admissible(engine.datum, p, k)
-    require_wp(u, p)
-    require_wp(v, p)
+    p = require_admissible(engine.datum, p, k, u, v)
     pk = weyl.build_Pk(engine.datum, p, k)
     up = engine.structure_constants(hecke_down(u, k), hecke_down(v, k), pk)
     acc = engine.pushforward(up, p).coeffs  # a fresh dict, owned here
@@ -213,8 +206,7 @@ def quantum_coefficients(engine: KTEngine, u, v, k, p=()) -> dict[WeylElement, R
 def qk_constant_general(engine: KTEngine, u, v, w, k, p=()) -> QKConstant:
     """Quantum constant for any admissible pair; agrees with the k-free
     formula whenever that one applies."""
-    p = require_admissible(engine.datum, p, k)
-    require_wp(w, p)
+    p = require_admissible(engine.datum, p, k, w)
     coeffs = quantum_coefficients(engine, u, v, k, p)
     return QKConstant(u, v, w, k, coeffs.get(w, engine.ring_zero()))
 
@@ -236,8 +228,6 @@ def qk_product_degree1(engine: KTEngine, u, v, p=()) -> QKProduct:
     parabolic, the q_k-linear coefficients.  Non-admissible nodes are
     skipped and recorded."""
     p = weyl.normalize_parabolic(engine.datum, p)
-    require_wp(u, p)
-    require_wp(v, p)
     classical = engine.structure_constants(u, v, p)
     quantum: dict[int, SchubertExpansion] = {}
     skipped = []
@@ -254,12 +244,10 @@ def qk_product_degree1(engine: KTEngine, u, v, p=()) -> QKProduct:
 def cor_xi_sum(engine: KTEngine, u, v, w, k, p, q) -> RingElt:
     """Invariant against a dual class, as a coset-fibre sum of classical
     constants over any k-free refinement q of the parabolic p."""
-    p = require_admissible(engine.datum, p, k)
+    p = require_admissible(engine.datum, p, k, u, v, w)
     q = require_k_free(engine.datum, q, k)
     if not q <= p:
         raise ValueError("the refinement must be contained in the parabolic")
-    for x in (u, v, w):
-        require_wp(x, p)
     consts = engine.structure_constants(hecke_down(u, k), hecke_down(v, k), q)
     return engine.pushforward(consts, p).coeff(w)
 
@@ -373,9 +361,7 @@ def peterson_check(engine: KTEngine, p, k, u, v, w) -> CheckReport:
     """Quotient-to-full-flag comparison through independent code paths: the
     reduction route on the quotient against the full-flag route, both plain
     and with the longest-element twist of the third index."""
-    p = require_admissible(engine.datum, p, k)
-    for x in (u, v, w):
-        require_wp(x, p)
+    p = require_admissible(engine.datum, p, k, u, v, w)
     one = engine.ring_one()
     lhs = kgw3(engine, u, v, SchubertExpansion({w: one}, p), k, p)
     borel = frozenset()

@@ -108,14 +108,14 @@ class RingElt:
             raise ValueError("exponent length does not match rank")
         if coeff == 0:
             return RingElt(rank, {}, 0)
-        return RingElt(rank, {_pack(rank, tuple(coords)): int(coeff)}, max(map(abs, coords), default=0))
+        return RingElt(rank, {_pack(rank, tuple(coords)): rootsys.as_int(coeff)}, max(map(abs, coords), default=0))
 
     @staticmethod
     def from_terms(rank: int, items) -> "RingElt":
         terms: dict[int, int] = {}
         bound = 0
         for coords, coeff in items:
-            accumulate(terms, _pack(rank, tuple(coords)), int(coeff))
+            accumulate(terms, _pack(rank, tuple(coords)), rootsys.as_int(coeff))
             bound = max(bound, max(map(abs, coords), default=0))
         return RingElt(rank, terms, bound)
 
@@ -418,10 +418,10 @@ def to_pairs(a: RingElt, datum: CartanDatum):
 def from_pairs(datum: CartanDatum, pairs, basis: str = "alpha") -> RingElt:
     items = []
     for exp, coeff in pairs:
-        exp = tuple(int(x) for x in exp)
+        exp = tuple(map(rootsys.as_int, exp))
         if basis == "alpha":
             exp = rootsys.alpha_to_omega(datum, exp)
-        items.append((exp, int(coeff)))
+        items.append((exp, coeff))
     return RingElt.from_terms(datum.rank, items)
 
 

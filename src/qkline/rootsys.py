@@ -20,6 +20,8 @@ All data is immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import math
+import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,6 +29,21 @@ from functools import lru_cache
 
 class CartanError(ValueError):
     """Raised for data that is not a finite-type Cartan matrix."""
+
+
+def parse_digits(text: str) -> int:
+    """A number in the ASCII digits 0-9 only; int() also reads "٣", "+2" and "1_0"."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{text!r} is not a number in the digits 0-9")
+    return int(text)
+
+
+def as_int(x) -> int:
+    """x if it is an integer (has __index__), else a TypeError naming it: int() reads 1.7 as 1."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise TypeError(f"{x!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -148,10 +165,10 @@ def _symmetrizer_from_matrix(a) -> tuple[int, ...]:
 
 def cartan_datum(matrix, symmetrizer=None, label=None) -> CartanDatum:
     """Build a validated CartanDatum from a matrix (any nested-int sequence)."""
-    a = tuple(tuple(int(x) for x in row) for row in matrix)
+    a = tuple(tuple(map(as_int, row)) for row in matrix)
     if symmetrizer is None:
         symmetrizer = _symmetrizer_from_matrix(a)
-    return CartanDatum(len(a), a, tuple(int(x) for x in symmetrizer), label)
+    return CartanDatum(len(a), a, tuple(map(as_int, symmetrizer)), label)
 
 
 def _chain_matrix(n):
@@ -167,9 +184,12 @@ def _chain_matrix(n):
 def named_datum(label: str) -> CartanDatum:
     """Cartan datum for a named type ("A2", "B3", ..., Bourbaki numbering)."""
     label = label.strip().upper()
-    if len(label) < 2 or label[0] not in "ABCDEFG" or not label[1:].isdigit():
+    if len(label) < 2 or label[0] not in "ABCDEFG":
         raise CartanError(f"unknown type label {label!r}")
-    family, n = label[0], int(label[1:])
+    try:
+        family, n = label[0], parse_digits(label[1:])
+    except ValueError:
+        raise CartanError(f"unknown type label {label!r}") from None
     if n < 1:
         raise CartanError(f"bad rank in {label!r}")
     if family == "A":
@@ -220,15 +240,18 @@ def named_datum(label: str) -> CartanDatum:
 
 def parse_cartan_file(text: str, label=None) -> CartanDatum:
     """Read a datum from plain text: rank, then the matrix rows, then an
-    optional symmetrizer line."""
+    optional symmetrizer line.  Every entry is an optional minus sign and the
+    ASCII digits 0-9, and the rank line holds one entry."""
     rows = [line.split() for line in text.splitlines() if line.split()]
     if not rows:
         raise CartanError("empty Cartan file")
-    try:
-        n = int(rows[0][0])
-        nums = [[int(x) for x in row] for row in rows[1:]]
-    except ValueError as exc:
-        raise CartanError(f"bad integer in Cartan file: {exc}") from None
+    bad = next((x for row in rows for x in row if not re.fullmatch("-?[0-9]+", x)), None)
+    if bad is not None:
+        raise CartanError(f"bad integer in Cartan file: {bad!r}")
+    if len(rows[0]) != 1:
+        raise CartanError(f"the rank line of a Cartan file holds one number, got {' '.join(rows[0])!r}")
+    n = int(rows[0][0])
+    nums = [[int(x) for x in row] for row in rows[1:]]
     if len(nums) == n:
         matrix, symm = nums, None
     elif len(nums) == n + 1:

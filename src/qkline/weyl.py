@@ -24,7 +24,7 @@ from collections import Counter
 from functools import lru_cache
 
 from . import rootsys
-from .rootsys import CartanDatum
+from .rootsys import CartanDatum, parse_digits
 
 
 # Largest |W| that WeylGroup.elements() enumerates.  A Schubert class on G/B
@@ -291,17 +291,10 @@ class WeylGroup:
         return longest_element(self, range(1, self.rank + 1))
 
 
-def parse_digits(text: str) -> int:
-    """A number in the ASCII digits 0-9 only; int() also reads "٣", "+2" and "1_0"."""
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"{text!r} is not a number in the digits 0-9")
-    return int(text)
-
-
 # -- parabolic machinery -----------------------------------------------------
 
 def normalize_parabolic(datum: CartanDatum, nodes) -> frozenset[int]:
-    p = frozenset(int(x) for x in nodes)
+    p = frozenset(map(rootsys.as_int, nodes))
     for i in p:
         if not 1 <= i <= datum.rank:
             raise IndexError(f"parabolic node {i} out of range 1..{datum.rank}")

@@ -2,7 +2,9 @@
 must match the hashes recorded in perfbench/references.json, so a change to
 any computed coefficient fails here as well as in the benchmark run.  The
 quotient tables in quotient_tables.json were recorded the same way, before
-the quotient solve moved from the points of W to the points of W^P."""
+the quotient solve moved from the points of W to the points of W^P, and the
+subcommand outputs in cli_outputs.json before the W^P checks moved into the
+hypothesis gates."""
 
 import hashlib
 import json
@@ -15,6 +17,7 @@ from qkline import cli
 HERE = pathlib.Path(__file__).resolve().parent
 REFERENCES = json.loads((HERE.parent / "perfbench" / "references.json").read_text())
 QUOTIENT_TABLES = json.loads((HERE / "quotient_tables.json").read_text())
+CLI_OUTPUTS = json.loads((HERE / "cli_outputs.json").read_text())
 
 
 def _check(ref, capsys):
@@ -33,3 +36,8 @@ def test_stdout_matches_reference(name, capsys):
 @pytest.mark.parametrize("name", sorted(QUOTIENT_TABLES))
 def test_quotient_table_matches_reference(name, capsys):
     _check(QUOTIENT_TABLES[name], capsys)
+
+
+@pytest.mark.parametrize("name", sorted(CLI_OUTPUTS))
+def test_cli_output_matches_reference(name, capsys):
+    _check(CLI_OUTPUTS[name], capsys)

@@ -198,6 +198,20 @@ def test_cli_table_pair_filter_and_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["table", "--group", "A2", "--parabolic", "1", "--u", "2", "--v", "1"], "1 is not"),
+        (["table", "--group", "A2", "--parabolic", "1", "--u", "21", "--v", "2"], "21 is not"),
+        (["constant", "--group", "A2", "--parabolic", "1", "--u", "2", "--v", "2", "--w", "21", "--k", "2"], "21 is not"),
+    ],
+)
+def test_cli_refuses_words_outside_wp(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert named + " a minimal representative for [1]" in err
+
+
 def test_cli_check_golden(capsys):
     code, out, _ = run_cli(capsys, "check", "--suite", "golden")
     assert code == 0
@@ -284,6 +298,31 @@ def test_cli_group_from_cartan_file(tmp_path, capsys):
         "--u", "2", "--v", "2", "--w", "21", "--k", "2",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["neighborhood", "X", "--group", "A٣", "--u", "2", "--k", "1"], "'A٣'"),
+        (["constant", "--group", "a٢", "--u", "1", "--v", "1", "--w", "e", "--k", "1"], "'a٢'"),
+    ],
+)
+def test_cli_type_label_ranks_are_ascii_digits(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert named in err
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [("٢\n2 -1\n-1 2\n", "'٢'"), ("2 9\n2 -1\n-1 2\n", "'2 9'")],
+)
+def test_cli_cartan_file_reads_ascii_integers(tmp_path, capsys, text, named):
+    path = tmp_path / "a2.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "neighborhood", "X", "--group", str(path), "--u", "2", "--k", "1")
+    assert code == 2 and out == ""
+    assert named in err
 
 
 def test_demo_scripts_run(tmp_path):

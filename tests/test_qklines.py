@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -205,6 +206,41 @@ def test_qk_constant_general_gate(engine):
     u = b2.W.simple(2)
     with pytest.raises(GateError):
         qk_constant_general(b2, u, u, u, 2, {1})
+
+
+# Every public operation that takes points of W^P: its number of points, then
+# a call on A3 with the parabolic p and those points at k = 1.
+_POINT_OPERATIONS = {
+    "curve_neighborhood": (1, lambda e, p, u: curve_neighborhood(e, "X", u, 1, p)),
+    "projected_gw": (2, lambda e, p, u, v: projected_gw(e, u, v, 1, p)),
+    "boundary_projected_gw": (2, lambda e, p, u, v: boundary_projected_gw(e, u, v, 1, p)),
+    "kgw3": (2, lambda e, p, u, v: kgw3(e, u, v, SchubertExpansion({e.W.identity: e.ring_one()}, p), 1, p)),
+    "kgw2": (2, lambda e, p, z, w: kgw2(e, z, w, 1, p)),
+    "qk_constant_kfree": (3, lambda e, p, u, v, w: qk_constant_kfree(e, u, v, w, 1, p)),
+    "qk_constant_divided_difference": (3, lambda e, p, u, v, w: qk_constant_divided_difference(e, u, v, w, 1, p)),
+    "quantum_coefficients": (2, lambda e, p, u, v: quantum_coefficients(e, u, v, 1, p)),
+    "qk_constant_general": (3, lambda e, p, u, v, w: qk_constant_general(e, u, v, w, 1, p)),
+    "qk_product_degree1": (2, lambda e, p, u, v: qk_product_degree1(e, u, v, p)),
+    "cor_xi_sum": (3, lambda e, p, u, v, w: cor_xi_sum(e, u, v, w, 1, p, p)),
+    "peterson_check": (3, lambda e, p, u, v, w: peterson_check(e, p, 1, u, v, w)),
+    "KTEngine.structure_constants": (2, lambda e, p, u, v: e.structure_constants(u, v, p)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_POINT_OPERATIONS))
+def test_points_outside_wp_are_refused(engine, name):
+    """On A3 with P = {3} and k = 1 the pair is k-free and admissible, and s3
+    is not in W^P: in every point position it is refused with the ValueError
+    of require_wp, not with a GateError."""
+    e = engine("A3")
+    p = frozenset({3})
+    arity, call = _POINT_OPERATIONS[name]
+    for i in range(arity):
+        points = [e.W.identity] * arity
+        points[i] = e.W.simple(3)
+        with pytest.raises(ValueError, match=re.escape("3 is not a minimal representative for [3]")) as info:
+            call(e, p, *points)
+        assert not isinstance(info.value, GateError)
 
 
 def test_qk_product_degree1_reference_row(engine):

@@ -1,5 +1,6 @@
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -262,6 +263,20 @@ def test_serialization_roundtrip_and_order():
     b = RingElt.monomial(2, (1, 0))
     assert to_pairs(b, A2) == [[[1, 0], 1]]
     assert from_pairs(A2, to_pairs(b, A2), basis="omega") == b
+
+
+@pytest.mark.parametrize(
+    "build, named",
+    [
+        (lambda: RingElt.monomial(2, (0, 0), 2.5), "2.5"),
+        (lambda: RingElt.from_terms(2, [((0, 0), 2.9)]), "2.9"),
+        (lambda: from_pairs(A2, [[[1.9, 0], 1]]), "1.9"),
+        (lambda: from_pairs(A2, [[[1, 0], 1.5]]), "1.5"),
+    ],
+)
+def test_exponents_and_coefficients_are_integers_only(build, named):
+    with pytest.raises(TypeError, match=re.escape(f"{named} is not an integer")):
+        build()
 
 
 def test_parse_expression():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from qkline import rootsys
@@ -137,9 +139,35 @@ def test_rejects_non_cartan_input():
 
 
 def test_named_type_errors():
-    for bad in ("H3", "B1", "Q2", "E9", ""):
+    for bad in ("H3", "B1", "Q2", "E9", "", "A٣", "a٢", "C²"):
         with pytest.raises(CartanError):
             named_datum(bad)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("٢\n2 -1\n-1 2\n", "bad integer in Cartan file: '٢'"),
+        ("2\n2 -١\n-1 2\n", "bad integer in Cartan file: '-١'"),
+        ("2\n2 +1\n-1 2\n", "bad integer in Cartan file: '+1'"),
+        ("2 9\n2 -1\n-1 2\n", "the rank line of a Cartan file holds one number, got '2 9'"),
+    ],
+)
+def test_cartan_file_reads_one_signed_ascii_rule(text, message):
+    with pytest.raises(CartanError, match=re.escape(message)):
+        parse_cartan_file(text)
+
+
+@pytest.mark.parametrize(
+    "matrix, symmetrizer, named",
+    [
+        ([[2, -1.5], [-1, 2]], None, "-1.5"),
+        ([[2, -1], [-1, 2]], (1.9, 1), "1.9"),
+    ],
+)
+def test_cartan_datum_takes_integers_only(matrix, symmetrizer, named):
+    with pytest.raises(TypeError, match=re.escape(f"{named} is not an integer")):
+        cartan_datum(matrix, symmetrizer)
 
 
 def test_parse_cartan_file():

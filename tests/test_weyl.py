@@ -99,6 +99,15 @@ def test_parse_digits_reads_ascii_digits_only():
             weyl.parse_digits(text)
 
 
+@pytest.mark.parametrize("nodes, named", [([1.7], "1.7"), ([2.0], "2.0"), ("13", "'1'")])
+def test_normalize_parabolic_takes_integers_only(engine, nodes, named):
+    with pytest.raises(TypeError, match=re.escape(f"{named} is not an integer")):
+        weyl.normalize_parabolic(named_datum("A3"), nodes)
+    e = engine("A3")
+    with pytest.raises(TypeError, match=re.escape(f"{named} is not an integer")):
+        e.structure_constants(e.W.simple(1), e.W.simple(1), nodes)
+
+
 @pytest.mark.parametrize("label", ["A2", "G2", "B3", "D4"])
 def test_parse_word_reads_what_format_word_writes(label):
     W = group(label)
