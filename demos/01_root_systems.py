@@ -5,7 +5,6 @@ lengths, and simple reflections on the weight lattice.
 """
 
 from qkline.rootsys import (
-    Weight,
     adjacent,
     is_long,
     named_datum,
@@ -21,7 +20,7 @@ def show(datum):
     print("symmetrizer:", datum.symmetrizer)
     roots = positive_roots(datum)
     print(f"{len(roots)} positive roots (simple-root coordinates):")
-    print("  ", [r.coords for r in roots])
+    print("  ", list(roots))
     long_nodes = [i for i in range(1, datum.rank + 1) if is_long(datum, i)]
     print("long simple roots:", long_nodes)
     print()
@@ -35,9 +34,9 @@ print("Adjacency in A3: 1~2:", adjacent(named_datum("A3"), 1, 2),
 
 # s_1 reflects the first fundamental weight across its wall
 a2 = named_datum("A2")
-lam = Weight((1, 0))
-print("s_1(omega_1) in A2:", reflect(a2, 1, lam).coords)
-print("s_1(s_1(omega_1)):", reflect(a2, 1, reflect(a2, 1, lam)).coords)
+lam = (1, 0)
+print("s_1(omega_1) in A2:", reflect(a2, 1, lam))
+print("s_1(s_1(omega_1)):", reflect(a2, 1, reflect(a2, 1, lam)))
 
 # the same data can come from a plain-text matrix file
 text = "2\n2 -2\n-1 2\n"

@@ -43,8 +43,8 @@ print("\nthree-point invariant <O^1, O^1, O^21> of degree eps_1:",
       format_elt(kgw3(a2, s1, s1, SchubertExpansion({W.parse_word('21'): a2.ring_one()}), 1), a2.datum))
 
 print("\none quantum constant two ways (closed formula vs operator route):")
-n1 = qk_constant_kfree(a2, s1, s1, W.identity, 1).value
-n2 = qk_constant_divided_difference(a2, s1, s1, W.identity, 1).value
+n1 = qk_constant_kfree(a2, s1, s1, W.identity, 1)
+n2 = qk_constant_divided_difference(a2, s1, s1, W.identity, 1)
 print("  N_{1,1}^{e, eps_1} =", format_elt(n1, a2.datum), "=", format_elt(n2, a2.datum))
 
 print("\nfull multiplication table of A2 modulo higher quantum degrees:")

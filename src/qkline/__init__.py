@@ -6,7 +6,6 @@ from .qklines import (
     BoundaryBounds,
     CheckReport,
     GateError,
-    QKConstant,
     QKProduct,
     RichardsonDescriptor,
     boundary_projected_gw,
@@ -26,7 +25,7 @@ from .qklines import (
     vanishing_check,
 )
 from .repring import NotDivisible, NotInSubring, RingElt, exact_divide, weyl_act
-from .rootsys import CartanDatum, CartanError, Root, Weight, cartan_datum, named_datum
+from .rootsys import CartanDatum, CartanError, cartan_datum, named_datum
 from .weyl import WeylElement, WeylGroup
 
 __all__ = [
@@ -40,13 +39,10 @@ __all__ = [
     "KTEngine",
     "NotDivisible",
     "NotInSubring",
-    "QKConstant",
     "QKProduct",
     "RichardsonDescriptor",
     "RingElt",
-    "Root",
     "SchubertExpansion",
-    "Weight",
     "WeylElement",
     "WeylGroup",
     "boundary_projected_gw",

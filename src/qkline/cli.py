@@ -146,8 +146,8 @@ def cmd_constant(args) -> int:
     v = engine.W.parse_word(args.v)
     w = engine.W.parse_word(args.w)
     const = qklines.qk_constant_general(engine, u, v, w, args.k, p)
-    print(repring.format_elt(const.value, engine.datum))
-    print(f"nonequivariant: {const.value.specialize_to_one()}")
+    print(repring.format_elt(const, engine.datum))
+    print(f"nonequivariant: {const.specialize_to_one()}")
     return 0
 
 

@@ -106,7 +106,6 @@ class KTEngine:
         self._schubert: dict[tuple, KClass] = {}
         self._opposite: dict[WeylElement, KClass] = {}
         self._constants: dict[tuple, SchubertExpansion] = {}
-        self._pos_roots = tuple(r.coords for r in rootsys.positive_roots(datum))
         self._reflections: tuple[WeylElement, ...] | None = None
 
     # -- ring helpers ---------------------------------------------------------
@@ -149,12 +148,12 @@ class KTEngine:
         distinct positive roots, so ``bound`` bounds every twist."""
         W, datum = self.W, self.datum
         reps = weyl.enumerate_wp(W, p)  # refuses a group too large to enumerate
-        weights = [rootsys.alpha_to_omega(datum, beta) for beta in self._pos_roots]
+        weights = [rootsys.alpha_to_omega(datum, beta) for beta in W.positive_root_coords]
         bound = max(sum(abs(lam[i]) for lam in weights) for i in range(self.rank))
         cols = {W.identity: {W.identity: self.ring_one()}}
         for w in reps[1:]:
             k = w.word[0]
-            alpha = rootsys.alpha_to_omega(datum, rootsys.simple_root(datum, k).coords)
+            alpha = rootsys.alpha_to_omega(datum, rootsys.simple_root(datum, k))
             one_minus_e = self._one_minus_e(tuple(-x for x in alpha))
             e = self.ring_one() - one_minus_e  # e^{-alpha_k}
             col: dict[WeylElement, RingElt] = {}
@@ -321,7 +320,7 @@ class KTEngine:
         if self._reflections is None:
             datum = self.datum
             refs = []
-            for beta in self._pos_roots:
+            for beta in self.W.positive_root_coords:
                 cols = []
                 for j in range(self.rank):
                     gamma = tuple(1 if i == j else 0 for i in range(self.rank))
@@ -341,7 +340,7 @@ class KTEngine:
         seen_pairs = set()
         pts = list(c.restrictions)
         for w in pts:
-            for beta, sbeta in zip(self._pos_roots, refs):
+            for beta, sbeta in zip(self.W.positive_root_coords, refs):
                 other = sbeta * w
                 pair = (w, other) if w.sort_key <= other.sort_key else (other, w)
                 if pair in seen_pairs:
@@ -349,7 +348,7 @@ class KTEngine:
                 seen_pairs.add(pair)
                 diff = c.value(w) - c.value(other)
                 if diff and not repring.divides_one_minus_e(diff, rootsys.alpha_to_omega(self.datum, beta)):
-                    bad.append((w, rootsys.Root(beta)))
+                    bad.append((w, beta))
                     if len(bad) >= 4:
                         return bad
         return bad

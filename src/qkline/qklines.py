@@ -161,16 +161,7 @@ def kgw2(engine: KTEngine, z: WeylElement, w: WeylElement, k: int, p=()) -> Ring
 # -- quantum structure constants ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QKConstant:
-    u: WeylElement
-    v: WeylElement
-    w: WeylElement
-    k: int
-    value: RingElt
-
-
-def qk_constant_kfree(engine: KTEngine, u, v, w, k, p=()) -> QKConstant:
+def qk_constant_kfree(engine: KTEngine, u, v, w, k, p=()) -> RingElt:
     """The closed formula for k-free parabolics:
     c_{u_k,v_k}^w - [w has no descent at k] (c_{u,v}^{w s_k} + c_{u,v}^w)."""
     p = require_k_free(engine.datum, p, k, u, v, w)
@@ -178,16 +169,16 @@ def qk_constant_kfree(engine: KTEngine, u, v, w, k, p=()) -> QKConstant:
     if not w.has_right_descent(k):
         cl = engine.structure_constants(u, v, p)
         val = val - cl.coeff(hecke_up(w, k)) - cl.coeff(w)
-    return QKConstant(u, v, w, k, val)
+    return val
 
 
-def qk_constant_divided_difference(engine: KTEngine, u, v, w, k, p=()) -> QKConstant:
+def qk_constant_divided_difference(engine: KTEngine, u, v, w, k, p=()) -> RingElt:
     """Same constant via the operator route: the O^w-coefficient of
     d_k(O^u) . d_k(O^v) - d_k(O^u . O^v)."""
     p = require_k_free(engine.datum, p, k, u, v, w)
     first = engine.structure_constants(hecke_down(u, k), hecke_down(v, k), p)
     second = engine.divided_difference(engine.structure_constants(u, v, p), k)
-    return QKConstant(u, v, w, k, first.coeff(w) - second.coeff(w))
+    return first.coeff(w) - second.coeff(w)
 
 
 def quantum_coefficients(engine: KTEngine, u, v, k, p=()) -> dict[WeylElement, RingElt]:
@@ -203,12 +194,12 @@ def quantum_coefficients(engine: KTEngine, u, v, k, p=()) -> dict[WeylElement, R
     return acc
 
 
-def qk_constant_general(engine: KTEngine, u, v, w, k, p=()) -> QKConstant:
+def qk_constant_general(engine: KTEngine, u, v, w, k, p=()) -> RingElt:
     """Quantum constant for any admissible pair; agrees with the k-free
     formula whenever that one applies."""
     p = require_admissible(engine.datum, p, k, w)
     coeffs = quantum_coefficients(engine, u, v, k, p)
-    return QKConstant(u, v, w, k, coeffs.get(w, engine.ring_zero()))
+    return coeffs.get(w, engine.ring_zero())
 
 
 @dataclass(frozen=True)
@@ -397,7 +388,7 @@ def gkm_check(engine: KTEngine) -> CheckReport:
     for v in elements:
         cls = engine.schubert_class(v)
         for w, beta in engine.gkm_violations(cls):
-            bad.append((v.word_str, "class", w.word_str, str(beta.coords)))
+            bad.append((v.word_str, "class", w.word_str, str(beta)))
         for w in cls.restrictions:
             if not bruhat_leq(v, w):
                 bad.append((v.word_str, "triangularity", w.word_str, ""))
@@ -406,7 +397,7 @@ def gkm_check(engine: KTEngine) -> CheckReport:
     for u, v in itertools.combinations_with_replacement(elements, 2):
         prod = engine.multiply(engine.schubert_class(u), engine.schubert_class(v))
         for w, beta in engine.gkm_violations(prod):
-            bad.append((u.word_str, v.word_str, w.word_str, str(beta.coords)))
+            bad.append((u.word_str, v.word_str, w.word_str, str(beta)))
         if len(bad) > 8:
             break
     return _report("gkm", engine, (), None, bad, {"classes": len(elements)})
@@ -423,6 +414,9 @@ def run_suite(engine: KTEngine, p, suite: str) -> list[CheckReport]:
         "sign": lambda k: [sign_check(engine, p, k)] if weyl.is_k_free(engine.datum, p, k) else [],
         "peterson": lambda k: peterson_sweep(engine, p, k),
     }
+    names = (*per_node, "gkm", "all")
+    if suite not in names:
+        raise ValueError(f"unknown suite {suite!r}; the suites are {', '.join(names)}")
     reports = [
         rep for name, run in per_node.items() if suite in (name, "all") for k in nodes for rep in run(k)
     ]

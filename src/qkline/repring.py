@@ -65,6 +65,8 @@ def _codec(rank: int):
 
 
 def _pack(rank: int, coords) -> int:
+    if len(coords) != rank:
+        raise ValueError(f"exponent {tuple(coords)} does not have length {rank}, the rank")
     shifts, deg_shift, _, _ = _codec(rank)
     key = (sum(coords) + _DEG_OFF) << deg_shift
     for c, s in zip(coords, shifts):
@@ -104,11 +106,10 @@ class RingElt:
 
     @staticmethod
     def monomial(rank: int, coords, coeff: int = 1) -> "RingElt":
-        if len(coords) != rank:
-            raise ValueError("exponent length does not match rank")
+        key = _pack(rank, tuple(coords))
         if coeff == 0:
             return RingElt(rank, {}, 0)
-        return RingElt(rank, {_pack(rank, tuple(coords)): rootsys.as_int(coeff)}, max(map(abs, coords), default=0))
+        return RingElt(rank, {key: rootsys.as_int(coeff)}, max(map(abs, coords), default=0))
 
     @staticmethod
     def from_terms(rank: int, items) -> "RingElt":
@@ -293,7 +294,7 @@ def simple_reflection(a: RingElt, datum: CartanDatum, k: int, bound: int | None 
 @lru_cache(maxsize=None)
 def _reflection_step(datum: CartanDatum, k: int):
     """alpha_k in weight coordinates, the shift of field k and packed(alpha_k)."""
-    alpha = rootsys.alpha_to_omega(datum, rootsys.simple_root(datum, k).coords)
+    alpha = rootsys.alpha_to_omega(datum, rootsys.simple_root(datum, k))
     shifts, _, key0, _ = _codec(datum.rank)
     return alpha, shifts[k - 1], _pack(datum.rank, alpha) - key0
 
@@ -416,6 +417,8 @@ def to_pairs(a: RingElt, datum: CartanDatum):
 
 
 def from_pairs(datum: CartanDatum, pairs, basis: str = "alpha") -> RingElt:
+    if basis not in ("alpha", "omega"):
+        raise ValueError(f"basis must be 'alpha' or 'omega', got {basis!r}")
     items = []
     for exp, coeff in pairs:
         exp = tuple(map(rootsys.as_int, exp))

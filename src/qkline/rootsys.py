@@ -5,9 +5,9 @@ Conventions used throughout the package:
 * The Cartan matrix is stored with ``A[i][j] = <alpha_j, alpha_i^vee>``, so
   the j-th *column* of ``A`` gives the simple root ``alpha_j`` in
   fundamental-weight coordinates.
-* Weights are integer vectors in fundamental-weight coordinates
-  (``coords[i] = <lam, alpha_i^vee>``); roots additionally carry simple-root
-  coordinates.
+* Roots and weights are plain coordinate tuples: a weight in
+  fundamental-weight coordinates (``lam[i] = <lam, alpha_i^vee>``), a root in
+  simple-root coordinates; ``alpha_to_omega`` and ``omega_to_alpha`` convert.
 * The symmetrizer ``d`` satisfies ``d[i]*A[i][j] == d[j]*A[j][i]`` with
   ``d[i]`` proportional to the squared length of ``alpha_i``; a root is long
   when its ``d`` is maximal in its connected component.
@@ -44,40 +44,6 @@ def as_int(x) -> int:
         return operator.index(x)
     except TypeError:
         raise TypeError(f"{x!r} is not an integer") from None
-
-
-@dataclass(frozen=True)
-class Weight:
-    """A weight-lattice point in fundamental-weight coordinates."""
-
-    coords: tuple[int, ...]
-
-    def __add__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.coords))
-
-
-@dataclass(frozen=True)
-class Root:
-    """A root in simple-root coordinates."""
-
-    coords: tuple[int, ...]
-
-    @property
-    def is_positive(self) -> bool:
-        return any(c > 0 for c in self.coords)
-
-    @property
-    def height(self) -> int:
-        return sum(self.coords)
-
-    def __neg__(self) -> "Root":
-        return Root(tuple(-a for a in self.coords))
 
 
 @dataclass(frozen=True)
@@ -297,6 +263,7 @@ def adjacent(datum: CartanDatum, i: int, j: int) -> bool:
 
 def component(datum: CartanDatum, i: int, nodes) -> set[int]:
     """The connected component of node i in the Dynkin diagram on ``nodes``."""
+    check_index(datum, i)
     comp = {i}
     stack = [i]
     while stack:
@@ -315,19 +282,17 @@ def is_long(datum: CartanDatum, i: int) -> bool:
     return datum.symmetrizer[i - 1] == max(datum.symmetrizer[j - 1] for j in comp)
 
 
-def simple_root(datum: CartanDatum, i: int) -> Root:
+def simple_root(datum: CartanDatum, i: int) -> tuple[int, ...]:
     check_index(datum, i)
-    return Root(tuple(1 if j == i - 1 else 0 for j in range(datum.rank)))
-
-
-def root_to_weight(datum: CartanDatum, root: Root) -> Weight:
-    return Weight(alpha_to_omega(datum, root.coords))
+    return tuple(1 if j == i - 1 else 0 for j in range(datum.rank))
 
 
 def alpha_to_omega(datum: CartanDatum, coords) -> tuple[int, ...]:
     """Simple-root coordinates -> fundamental-weight coordinates (A @ c)."""
     a = datum.cartan
     n = datum.rank
+    if len(coords) != n:
+        raise ValueError(f"coordinates {tuple(coords)} do not have length {n}, the rank of {datum}")
     return tuple(sum(a[i][j] * coords[j] for j in range(n)) for i in range(n))
 
 
@@ -353,6 +318,8 @@ def _inverse_cartan(datum: CartanDatum) -> tuple[int, tuple[tuple[int, ...], ...
 def omega_to_alpha(datum: CartanDatum, coords) -> tuple[int, ...] | None:
     """Fundamental-weight coordinates -> simple-root coordinates, or None when
     the weight is not in the root lattice."""
+    if len(coords) != datum.rank:
+        raise ValueError(f"coordinates {tuple(coords)} do not have length {datum.rank}, the rank of {datum}")
     den, adj = _inverse_cartan(datum)
     out = []
     for row in adj:
@@ -363,30 +330,22 @@ def omega_to_alpha(datum: CartanDatum, coords) -> tuple[int, ...] | None:
     return tuple(out)
 
 
-def weight_to_root(datum: CartanDatum, weight: Weight) -> Root | None:
-    coords = omega_to_alpha(datum, weight.coords)
-    if coords is None:
-        return None
-    root = Root(coords)
-    return root if root in positive_roots(datum) or -root in positive_roots(datum) else None
-
-
-def reflect(datum: CartanDatum, i: int, weight: Weight) -> Weight:
+def reflect(datum: CartanDatum, i: int, lam) -> tuple[int, ...]:
     """Simple reflection s_i acting on a weight: lam - <lam, alpha_i^vee> alpha_i."""
-    check_index(datum, i)
-    c = weight.coords[i - 1]
-    col = tuple(datum.cartan[j][i - 1] for j in range(datum.rank))
-    return Weight(tuple(x - c * y for x, y in zip(weight.coords, col)))
+    alpha = alpha_to_omega(datum, simple_root(datum, i))
+    c = lam[i - 1]
+    return tuple(x - c * y for x, y in zip(lam, alpha))
 
 
 def reflect_root_coords(datum: CartanDatum, i: int, coords) -> tuple[int, ...]:
     """s_i on simple-root coordinates: subtract (row i of A) . c times e_i."""
+    check_index(datum, i)
     pair = sum(datum.cartan[i - 1][j] * coords[j] for j in range(datum.rank))
     return tuple(c - pair if j == i - 1 else c for j, c in enumerate(coords))
 
 
 @lru_cache(maxsize=None)
-def positive_roots(datum: CartanDatum) -> tuple[Root, ...]:
+def positive_roots(datum: CartanDatum) -> tuple[tuple[int, ...], ...]:
     """All positive roots, sorted by height then lexicographically."""
     n = datum.rank
     found = {tuple(1 if j == i else 0 for j in range(n)) for i in range(n)}
@@ -402,7 +361,7 @@ def positive_roots(datum: CartanDatum) -> tuple[Root, ...]:
                     found.add(img)
                     nxt.append(img)
         frontier = nxt
-    return tuple(Root(c) for c in sorted(found, key=lambda c: (sum(c), tuple(-x for x in c))))
+    return tuple(sorted(found, key=lambda c: (sum(c), tuple(-x for x in c))))
 
 
 def root_pairing(datum: CartanDatum, gamma, beta) -> int:

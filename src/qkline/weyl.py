@@ -98,6 +98,7 @@ class WeylElement:
 
     def has_right_descent(self, k: int) -> bool:
         """ell(w s_k) < ell(w), read off the sign of w(alpha_k)."""
+        rootsys.check_index(self.group.datum, k)
         return any(x < 0 for x in self.table[k - 1])
 
     def right_descents(self) -> tuple[int, ...]:
@@ -105,8 +106,7 @@ class WeylElement:
 
     def has_left_descent(self, k: int) -> bool:
         """ell(s_k w) < ell(w) iff alpha_k is an inversion of w."""
-        target = tuple(1 if j == k - 1 else 0 for j in range(self.group.rank))
-        return target in self.inversions
+        return rootsys.simple_root(self.group.datum, k) in self.inversions
 
     @property
     def word(self) -> tuple[int, ...]:
@@ -155,7 +155,7 @@ class WeylElement:
             for j in range(n):
                 v = tuple(1 if i == j else 0 for i in range(n))
                 for k in reversed(self.word):
-                    v = rootsys.reflect(datum, k, rootsys.Weight(v)).coords
+                    v = rootsys.reflect(datum, k, v)
                 cols.append(v)
             self._weight_matrix = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
         return self._weight_matrix
@@ -172,7 +172,7 @@ class WeylGroup:
     def __init__(self, datum: CartanDatum):
         self.datum = datum
         self.rank = datum.rank
-        self.positive_root_coords = tuple(r.coords for r in rootsys.positive_roots(datum))
+        self.positive_root_coords = rootsys.positive_roots(datum)
         self._intern: dict[tuple, WeylElement] = {}
         self._bruhat: dict[tuple[WeylElement, WeylElement], bool] = {}
         self._elements: tuple[WeylElement, ...] | None = None
@@ -208,6 +208,7 @@ class WeylGroup:
 
     def right_mult_gen(self, w: WeylElement, k: int) -> WeylElement:
         """w * s_k via the column update w(s_k alpha_i) = w(alpha_i) - A[k][i] w(alpha_k)."""
+        rootsys.check_index(self.datum, k)
         a = self.datum.cartan
         n = self.rank
         colk = w.table[k - 1]

@@ -326,18 +326,27 @@ def test_cli_cartan_file_reads_ascii_integers(tmp_path, capsys, text, named):
 
 
 def test_demo_scripts_run(tmp_path):
+    # each demo's stdout is pinned by its sha256 and byte count
+    import hashlib
     import pathlib
     import subprocess
     import sys
 
-    demos = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("0*.py"))
-    assert len(demos) == 5
+    root = pathlib.Path(__file__).parent.parent
+    demos = sorted((root / "demos").glob("0*.py"))
+    pinned = json.loads((root / "tests" / "demo_outputs.json").read_text(encoding="utf-8"))
+    assert [script.name for script in demos] == sorted(pinned)
     for script in demos:
-        proc = subprocess.run(
-            [sys.executable, str(script)], capture_output=True, text=True, timeout=120
-        )
+        proc = subprocess.run([sys.executable, str(script)], capture_output=True, timeout=120)
         assert proc.returncode == 0, (script.name, proc.stderr[-500:])
-        assert proc.stdout.strip()
+        got = {"sha256": hashlib.sha256(proc.stdout).hexdigest(), "bytes": len(proc.stdout)}
+        assert got == pinned[script.name], script.name
+
+
+def test_package_exports_resolve():
+    import qkline
+
+    assert [name for name in qkline.__all__ if not hasattr(qkline, name)] == []
 
 
 def test_cli_usage_errors(capsys):

@@ -85,7 +85,7 @@ def test_diagonal_formula_via_inversions(engine):
     w0 = e.W.longest()
     expected = e.ring_one()
     for beta in positive_roots(e.datum):
-        neg = tuple(-x for x in alpha_to_omega(e.datum, beta.coords))
+        neg = tuple(-x for x in alpha_to_omega(e.datum, beta))
         expected = expected * (e.ring_one() - RingElt.monomial(2, neg))
     assert e.diagonal_value(w0) == expected
 
@@ -95,6 +95,12 @@ def test_gkm_condition_for_all_classes(engine):
         e = engine(label)
         for v in e.W.elements():
             assert not e.gkm_violations(e.schubert_class(v))
+
+
+def test_gkm_violations_are_point_and_root_tuple_pairs(engine):
+    e = engine("A2")
+    bump = KClass(e.datum, {e.W.identity: e.ring_one()})  # 1 at e, 0 elsewhere
+    assert e.gkm_violations(bump) == [(e.W.identity, beta) for beta in [(1, 0), (0, 1), (1, 1)]]
 
 
 def test_demazure_consistency(engine):
@@ -340,7 +346,7 @@ def _localization_integral(e, cls):
     for u in e.W.elements():
         denom = sympy.Integer(1)
         for beta in positive_roots(e.datum):
-            denom *= 1 - mono(alpha_to_omega(e.datum, u.apply_to_root(beta.coords)))
+            denom *= 1 - mono(alpha_to_omega(e.datum, u.apply_to_root(beta)))
         total += to_expr(cls.value(u)) / denom
     return sympy.simplify(sympy.cancel(sympy.together(total)))
 

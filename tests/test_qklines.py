@@ -135,13 +135,13 @@ def test_kgw2_matches_kgw3_pairing(engine):
 def test_qk_constant_kfree_reference_values(engine):
     e = engine("A2")
     s1 = e.W.simple(1)
-    assert qk_constant_kfree(e, s1, s1, e.W.identity, 1).value == elt(e, "e(-a1)")
-    assert qk_constant_kfree(e, s1, s1, e.W.simple(2), 1).value == elt(e, "-e(-a1)")
+    assert qk_constant_kfree(e, s1, s1, e.W.identity, 1) == elt(e, "e(-a1)")
+    assert qk_constant_kfree(e, s1, s1, e.W.simple(2), 1) == elt(e, "-e(-a1)")
 
     c2 = engine("C2")
     s2 = c2.W.simple(2)
     got = qk_constant_kfree(c2, s2, s2, c2.W.parse_word("21"), 2)
-    assert got.value == elt(c2, "e(-a1-a2)")
+    assert got == elt(c2, "e(-a1-a2)")
 
 
 def test_qk_constant_divided_difference_agrees(engine):
@@ -154,12 +154,12 @@ def test_qk_constant_divided_difference_agrees(engine):
         (e.W.identity, e.W.identity, e.W.identity, 1),
     ]:
         assert (
-            qk_constant_divided_difference(e, u, v, w, k).value
-            == qk_constant_kfree(e, u, v, w, k).value
+            qk_constant_divided_difference(e, u, v, w, k)
+            == qk_constant_kfree(e, u, v, w, k)
         )
     # Hecke-fixed first argument: both routes give zero
     for w in e.W.elements():
-        assert qk_constant_divided_difference(e, s2, s1, w, 1).value == e.ring_zero()
+        assert qk_constant_divided_difference(e, s2, s1, w, 1) == e.ring_zero()
 
 
 def test_route_equality_full_sweep_rank2(engine):
@@ -171,8 +171,8 @@ def test_route_equality_full_sweep_rank2(engine):
                 for k in (1, 2):
                     general = quantum_coefficients(e, u, v, k)
                     for w in els:
-                        a = qk_constant_kfree(e, u, v, w, k).value
-                        b = qk_constant_divided_difference(e, u, v, w, k).value
+                        a = qk_constant_kfree(e, u, v, w, k)
+                        b = qk_constant_divided_difference(e, u, v, w, k)
                         c = general.get(w, e.ring_zero())
                         assert a == b == c, (label, u.word_str, v.word_str, w.word_str, k)
 
@@ -183,8 +183,8 @@ def test_qk_constant_general_hand_values(engine):
     p = {2}
     s1 = e.W.simple(1)
     v21 = e.W.parse_word("21")
-    assert qk_constant_general(e, s1, s1, e.W.identity, 1, p).value == e.ring_zero()
-    assert qk_constant_general(e, v21, v21, s1, 1, p).value == elt(e, "e(-a2)")
+    assert qk_constant_general(e, s1, s1, e.W.identity, 1, p) == e.ring_zero()
+    assert qk_constant_general(e, v21, v21, s1, 1, p) == elt(e, "e(-a2)")
 
 
 def test_qk_constant_general_lagrangian_quotient(engine):
@@ -340,7 +340,7 @@ def test_sign_check_witness_arithmetic(engine):
     # 1+1-1-2 = -1 and specialization -1, so the adjusted sign is +1
     e = engine("A2")
     s1, s2 = e.W.simple(1), e.W.simple(2)
-    n = qk_constant_kfree(e, s1, s1, s2, 1).value
+    n = qk_constant_kfree(e, s1, s1, s2, 1)
     assert n.specialize_to_one() == -1
     assert (-1) ** (s1.length + s1.length - s2.length - 2) * n.specialize_to_one() == 1
 
@@ -442,6 +442,13 @@ def test_sweep_reports_keep_eight_sorted_witnesses(engine):
     rep = qklines._report("demo", engine("A2"), {2}, 1, [(str(i),) for i in range(12, 0, -1)], {})
     assert rep.status == "fail" and rep.parabolic == (2,)
     assert rep.witnesses == tuple((w,) for w in sorted(str(i) for i in range(1, 13))[:8])
+
+
+def test_run_suite_refuses_unknown_suite_names(engine):
+    from qkline import qklines
+
+    with pytest.raises(ValueError, match="'vanishng'; the suites are vanishing, sign, peterson, gkm, all"):
+        qklines.run_suite(engine("A2"), (), "vanishng")
 
 
 def test_gkm_check_and_suite_order(engine):

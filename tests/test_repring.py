@@ -279,6 +279,27 @@ def test_exponents_and_coefficients_are_integers_only(build, named):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, coords",
+    [
+        (lambda: RingElt.from_terms(2, [((1, 0, 5), 1)]), (1, 0, 5)),
+        (lambda: RingElt.from_terms(2, [((1,), 1)]), (1,)),
+        (lambda: RingElt.monomial(2, (1, 0)).map_exponents(lambda lam: lam + (0,)), (1, 0, 0)),
+        (lambda: from_pairs(A2, [[[1, 0, 5], 1]]), (1, 0, 5)),
+        (lambda: from_pairs(A2, [[[1, 0, 5], 1]], basis="omega"), (1, 0, 5)),
+    ],
+    ids=["from_terms-long", "from_terms-short", "map_exponents", "from_pairs-alpha", "from_pairs-omega"],
+)
+def test_exponents_of_the_wrong_length_are_refused(build, coords):
+    with pytest.raises(ValueError, match=re.escape(str(coords)) + " do(es)? not have length 2"):
+        build()
+
+
+def test_from_pairs_refuses_unknown_bases():
+    with pytest.raises(ValueError, match="'alhpa'"):
+        from_pairs(A2, [[[1, 0], 1]], basis="alhpa")
+
+
 def test_parse_expression():
     assert parse_expression(A2, "1-e(-a1)") == RingElt.one(2) - e(A2, -1, 0)
     assert parse_expression(A2, "(1-e(-a1))*(1+e(-a1))") == RingElt.one(2) - e(A2, -2, 0)

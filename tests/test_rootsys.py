@@ -5,12 +5,12 @@ import pytest
 from qkline import rootsys
 from qkline.rootsys import (
     CartanError,
-    Root,
-    Weight,
     adjacent,
+    alpha_to_omega,
     cartan_datum,
     is_long,
     named_datum,
+    omega_to_alpha,
     parse_cartan_file,
     positive_roots,
     reflect,
@@ -19,7 +19,7 @@ from qkline.rootsys import (
 
 
 def coords(datum):
-    return [r.coords for r in positive_roots(datum)]
+    return list(positive_roots(datum))
 
 
 def test_positive_roots_a2():
@@ -78,27 +78,32 @@ def test_is_long():
 
 def test_simple_root_in_weight_coordinates():
     a2 = named_datum("A2")
-    w = rootsys.root_to_weight(a2, simple_root(a2, 1))
-    assert w.coords == (2, -1)  # first column of the Cartan matrix
+    assert alpha_to_omega(a2, simple_root(a2, 1)) == (2, -1)  # first column of the Cartan matrix
     c2 = named_datum("C2")
-    assert rootsys.root_to_weight(c2, simple_root(c2, 2)).coords == (-2, 2)
+    assert alpha_to_omega(c2, simple_root(c2, 2)) == (-2, 2)
+
+
+@pytest.mark.parametrize("convert", [alpha_to_omega, omega_to_alpha])
+@pytest.mark.parametrize("coords", [(3,), (1, 0, 5)])
+def test_conversions_refuse_coordinates_of_the_wrong_length(convert, coords):
+    with pytest.raises(ValueError, match=re.escape(f"coordinates {coords} do not have length 2, the rank of A2")):
+        convert(named_datum("A2"), coords)
 
 
 def test_reflect_examples():
     a1 = named_datum("A1")
-    omega1 = Weight((1,))
-    assert reflect(a1, 1, omega1) == Weight((-1,))
+    assert reflect(a1, 1, (1,)) == (-1,)
     a2 = named_datum("A2")
-    alpha1 = rootsys.root_to_weight(a2, simple_root(a2, 1))
-    alpha2 = rootsys.root_to_weight(a2, simple_root(a2, 2))
-    assert reflect(a2, 1, alpha1) == -alpha1
-    assert reflect(a2, 1, alpha2) == alpha1 + alpha2
+    alpha1 = alpha_to_omega(a2, simple_root(a2, 1))
+    alpha2 = alpha_to_omega(a2, simple_root(a2, 2))
+    assert reflect(a2, 1, alpha1) == tuple(-x for x in alpha1)
+    assert reflect(a2, 1, alpha2) == tuple(x + y for x, y in zip(alpha1, alpha2))
 
 
 def test_reflect_is_involutive():
     for label in ("A2", "C2", "G2"):
         datum = named_datum(label)
-        for lam in [Weight((1, 0)), Weight((0, 1)), Weight((2, -3))]:
+        for lam in [(1, 0), (0, 1), (2, -3)]:
             for i in (1, 2):
                 assert reflect(datum, i, reflect(datum, i, lam)) == lam
 
@@ -106,9 +111,9 @@ def test_reflect_is_involutive():
 def test_simple_reflection_permutes_other_positive_roots():
     for label in ("A2", "B2", "C3", "G2"):
         datum = named_datum(label)
-        pos = {r.coords for r in positive_roots(datum)}
+        pos = set(positive_roots(datum))
         for i in range(1, datum.rank + 1):
-            alpha_i = simple_root(datum, i).coords
+            alpha_i = simple_root(datum, i)
             images = set()
             for c in pos:
                 img = rootsys.reflect_root_coords(datum, i, c)
@@ -123,8 +128,7 @@ def test_simple_reflection_permutes_other_positive_roots():
 def test_root_weight_roundtrip():
     datum = named_datum("C3")
     for r in positive_roots(datum):
-        back = rootsys.weight_to_root(datum, rootsys.root_to_weight(datum, r))
-        assert back == r
+        assert omega_to_alpha(datum, alpha_to_omega(datum, r)) == r
 
 
 def test_rejects_non_cartan_input():
@@ -189,15 +193,10 @@ def test_symmetrizer_matches_bourbaki():
     assert named_datum("F4").symmetrizer == (2, 2, 1, 1)
 
 
-def test_root_positivity_flag():
-    assert Root((1, 0)).is_positive
-    assert not Root((-1, -1)).is_positive
-
-
 def test_omega_to_alpha_in_integers():
     import itertools
 
-    from qkline.rootsys import _inverse_cartan, alpha_to_omega, omega_to_alpha
+    from qkline.rootsys import _inverse_cartan
 
     for label in ("A3", "B3", "C3", "D4", "G2", "F4", "E6"):
         datum = named_datum(label)

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from qkline import named_datum, weyl
+from qkline import KTEngine, named_datum, rootsys, weyl
 from qkline.weyl import (
     WeylGroup,
     bruhat_leq,
@@ -68,6 +68,28 @@ def test_length_equals_word_length():
     for w in W.elements():
         assert w.length == len(w.word)
         assert W.from_word(w.word) is w
+
+
+_INDEXED_CALLS = {
+    "from_word": lambda W, k: W.from_word([k]),
+    "left_mult_gen": lambda W, k: W.left_mult_gen(k, W.simple(2)),
+    "right_mult_gen": lambda W, k: W.right_mult_gen(W.simple(2), k),
+    "hecke_down": lambda W, k: hecke_down(W.simple(2), k),
+    "hecke_up": lambda W, k: hecke_up(W.simple(2), k),
+    "has_left_descent": lambda W, k: W.simple(2).has_left_descent(k),
+    "has_right_descent": lambda W, k: W.simple(2).has_right_descent(k),
+    "demazure": lambda W, k: KTEngine(W.datum).demazure(KTEngine(W.datum).schubert_class(W.simple(2)), k),
+    "reflect_root_coords": lambda W, k: rootsys.reflect_root_coords(W.datum, k, (1, 0)),
+    "component": lambda W, k: rootsys.component(named_datum("A3"), k, {1, 2}),
+}
+
+
+@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("name", sorted(_INDEXED_CALLS))
+def test_node_indices_below_one_are_refused(name, k):
+    # Python's negative indexing read node 0 as node r and node -1 as node r - 1
+    with pytest.raises(IndexError, match=f"node index {k} out of range"):
+        _INDEXED_CALLS[name](group("A2"), k)
 
 
 def test_word_parsing_forms():
