@@ -194,7 +194,8 @@ class KTEngine:
     def demazure(self, c: KClass, k: int) -> KClass:
         """The moment-graph form of the degree-lowering operator along edges
         (w, w s_k); sends O^v to O^{v_k} and is idempotent.  Acts on G/B."""
-        _require_on(c, frozenset(), "demazure")
+        rootsys.check_index(self.datum, k)
+        self._require_on(c, frozenset(), "demazure")
         W = self.W
         pts = set(c.restrictions)
         pts |= {W.right_mult_gen(w, k) for w in pts}
@@ -209,7 +210,8 @@ class KTEngine:
 
     def multiply(self, c1: KClass, c2: KClass) -> KClass:
         """Pointwise product of two classes on one quotient."""
-        _require_on(c2, c1.parabolic, "multiply")
+        for c in (c1, c2):
+            self._require_on(c, c1.parabolic, "multiply")
         small, big = c1.restrictions, c2.restrictions
         if len(small) > len(big):
             small, big = big, small
@@ -334,7 +336,7 @@ class KTEngine:
         """Edge-divisibility failures as (point, root) pairs, at most four;
         empty means the class satisfies the moment-graph condition.  Checks
         classes on G/B."""
-        _require_on(c, frozenset(), "gkm_violations")
+        self._require_on(c, frozenset(), "gkm_violations")
         bad = []
         refs = self.reflections()
         seen_pairs = set()
@@ -353,10 +355,12 @@ class KTEngine:
                         return bad
         return bad
 
-
-def _require_on(c: KClass, p: frozenset[int], op: str) -> None:
-    """Raise ValueError unless ``c`` is a class on G/P (the moment-graph
-    operations walk the edges of G/B, so they ask for P empty)."""
-    if c.parabolic != p:
-        want, got = (f"G/P for P = {sorted(q)}" if q else "G/B" for q in (p, c.parabolic))
-        raise ValueError(f"{op} acts on classes on {want}, not on {got}")
+    def _require_on(self, c: KClass, p: frozenset[int], op: str) -> None:
+        """Raise ValueError unless ``c`` is a class of this engine's datum on
+        G/P (the moment-graph operations walk the edges of G/B, so they ask
+        for P empty)."""
+        if c.datum != self.datum:
+            raise weyl.GroupMismatchError(f"{op} on {self.datum} takes classes of {self.datum}, not of {c.datum}")
+        if c.parabolic != p:
+            want, got = (f"G/P for P = {sorted(q)}" if q else "G/B" for q in (p, c.parabolic))
+            raise ValueError(f"{op} acts on classes on {want}, not on {got}")

@@ -84,14 +84,13 @@ def _unpack(rank: int, key: int) -> tuple[int, ...]:
 class RingElt:
     """An element of the group ring; immutable and hashable."""
 
-    __slots__ = ("rank", "_terms", "_hash", "_bound")
+    __slots__ = ("rank", "_terms", "_bound")
 
     def __init__(self, rank: int, _terms: dict[int, int], _bound: int):
         # _terms maps packed exponent -> nonzero coefficient; owned by self.
         # _bound is at least every |coordinate| of every exponent in _terms.
         self.rank = rank
         self._terms = _terms
-        self._hash = None
         self._bound = _bound
 
     # -- constructors ---------------------------------------------------------
@@ -138,9 +137,7 @@ class RingElt:
         return NotImplemented
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.rank, frozenset(self._terms.items())))
-        return self._hash
+        return hash((self.rank, frozenset(self._terms.items())))
 
     def __repr__(self):
         if not self._terms:

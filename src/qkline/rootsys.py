@@ -80,25 +80,10 @@ class CartanDatum:
             for j in range(n):
                 if d[i] * a[i][j] != d[j] * a[j][i]:
                     raise CartanError("symmetrizer does not symmetrize the Cartan matrix")
-        if not _is_positive_definite([[d[i] * a[i][j] for j in range(n)] for i in range(n)]):
-            raise CartanError("Cartan matrix is not of finite type")
+        _inverse_cartan(self)
 
     def __str__(self):
         return self.label or f"CartanDatum(rank={self.rank})"
-
-
-def _is_positive_definite(b) -> bool:
-    """Leading-principal-minor test, exact over the rationals."""
-    n = len(b)
-    m = [[Fraction(x) for x in row] for row in b]
-    for k in range(n):
-        if m[k][k] <= 0:
-            return False
-        for i in range(k + 1, n):
-            f = m[i][k] / m[k][k]
-            for j in range(k, n):
-                m[i][j] -= f * m[k][j]
-    return True
 
 
 def _symmetrizer_from_matrix(a) -> tuple[int, ...]:
@@ -287,39 +272,48 @@ def simple_root(datum: CartanDatum, i: int) -> tuple[int, ...]:
     return tuple(1 if j == i - 1 else 0 for j in range(datum.rank))
 
 
+def check_coords(datum: CartanDatum, coords):
+    if len(coords) != datum.rank:
+        raise ValueError(f"coordinates {tuple(coords)} do not have length {datum.rank}, the rank of {datum}")
+
+
 def alpha_to_omega(datum: CartanDatum, coords) -> tuple[int, ...]:
     """Simple-root coordinates -> fundamental-weight coordinates (A @ c)."""
+    check_coords(datum, coords)
     a = datum.cartan
     n = datum.rank
-    if len(coords) != n:
-        raise ValueError(f"coordinates {tuple(coords)} do not have length {n}, the rank of {datum}")
     return tuple(sum(a[i][j] * coords[j] for j in range(n)) for i in range(n))
 
 
 @lru_cache(maxsize=None)
 def _inverse_cartan(datum: CartanDatum) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(den, adj): the common denominator of A^{-1} and the integer matrix
-    den * A^{-1}, so that weight conversions stay in integers."""
+    den * A^{-1}, so that weight conversions stay in integers.
+
+    Gauss-Jordan runs on the symmetrized B = DA without row swaps, so its
+    pivots are ratios of B's leading principal minors: all are positive iff B
+    is positive definite, which is the finite-type test.  Then A^{-1} = B^{-1} D."""
     n = datum.rank
-    m = [[Fraction(datum.cartan[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    d = datum.symmetrizer
+    m = [[Fraction(d[i] * datum.cartan[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for k in range(n):
-        pivot = next(i for i in range(k, n) if m[i][k] != 0)
-        m[k], m[pivot] = m[pivot], m[k]
+        if m[k][k] <= 0:
+            raise CartanError("Cartan matrix is not of finite type")
         inv = 1 / m[k][k]
         m[k] = [x * inv for x in m[k]]
         for i in range(n):
             if i != k and m[i][k]:
                 f = m[i][k]
                 m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-    den = math.lcm(*(x.denominator for row in m for x in row[n:]))
-    return den, tuple(tuple(int(x * den) for x in row[n:]) for row in m)
+    inverse = [[x * d[j] for j, x in enumerate(row[n:])] for row in m]
+    den = math.lcm(*(x.denominator for row in inverse for x in row))
+    return den, tuple(tuple(int(x * den) for x in row) for row in inverse)
 
 
 def omega_to_alpha(datum: CartanDatum, coords) -> tuple[int, ...] | None:
     """Fundamental-weight coordinates -> simple-root coordinates, or None when
     the weight is not in the root lattice."""
-    if len(coords) != datum.rank:
-        raise ValueError(f"coordinates {tuple(coords)} do not have length {datum.rank}, the rank of {datum}")
+    check_coords(datum, coords)
     den, adj = _inverse_cartan(datum)
     out = []
     for row in adj:
@@ -331,10 +325,11 @@ def omega_to_alpha(datum: CartanDatum, coords) -> tuple[int, ...] | None:
 
 
 def reflect(datum: CartanDatum, i: int, lam) -> tuple[int, ...]:
-    """Simple reflection s_i acting on a weight: lam - <lam, alpha_i^vee> alpha_i."""
-    alpha = alpha_to_omega(datum, simple_root(datum, i))
+    """Simple reflection s_i acting on a weight: lam - <lam, alpha_i^vee> alpha_i, alpha_i being column i of A."""
+    check_index(datum, i)
+    check_coords(datum, lam)
     c = lam[i - 1]
-    return tuple(x - c * y for x, y in zip(lam, alpha))
+    return tuple(x - c * row[i - 1] for x, row in zip(lam, datum.cartan))
 
 
 def reflect_root_coords(datum: CartanDatum, i: int, coords) -> tuple[int, ...]:
@@ -366,6 +361,8 @@ def positive_roots(datum: CartanDatum) -> tuple[tuple[int, ...], ...]:
 
 def root_pairing(datum: CartanDatum, gamma, beta) -> int:
     """<gamma, beta^vee> = 2(gamma,beta)/(beta,beta) for simple-root coords."""
+    check_coords(datum, gamma)
+    check_coords(datum, beta)
     n = datum.rank
     d = datum.symmetrizer
     a = datum.cartan

@@ -4,7 +4,7 @@ An element is stored by its root-image table: the tuple
 ``(w(alpha_1), ..., w(alpha_r))`` of images of the simple roots, each in
 simple-root coordinates.  Two elements are equal iff their tables are equal;
 elements of a group are interned, so equality is identity and per-element
-caches (length, reduced word, weight action) are shared.
+caches (reduced word, inversions) are shared.
 
 Words are exchanged with the outside world as digit strings: ``"121"`` means
 ``s_1 s_2 s_1`` (applied right to left as maps), ``"e"`` or ``""`` is the
@@ -13,7 +13,7 @@ identity; from rank 10 on, letters are separated by spaces, as in
 reduced word.
 
 Immutability: elements never change after interning.  The memo caches
-(length, Bruhat order, coset enumerations) only ever grow, and a recomputed
+(the element list, coset enumerations) only ever grow, and a recomputed
 entry is identical to the cached one, so concurrent readers are safe;
 writers at worst repeat work.
 """
@@ -41,15 +41,13 @@ class GroupMismatchError(ValueError):
 
 
 class WeylElement:
-    __slots__ = ("group", "table", "_hash", "_length", "_word", "_weight_matrix", "_inversions")
+    __slots__ = ("group", "table", "_hash", "_word", "_inversions")
 
     def __init__(self, group: "WeylGroup", table: tuple[tuple[int, ...], ...]):
         self.group = group
         self.table = table
         self._hash = hash(table)
-        self._length = None
         self._word = None
-        self._weight_matrix = None
         self._inversions = None
 
     def __hash__(self):
@@ -67,6 +65,7 @@ class WeylElement:
 
     def apply_to_root(self, coords) -> tuple[int, ...]:
         """Image of a root (simple-root coordinates) under this element."""
+        rootsys.check_coords(self.group.datum, coords)
         n = self.group.rank
         table = self.table
         out = [0] * n
@@ -79,9 +78,7 @@ class WeylElement:
 
     @property
     def length(self) -> int:
-        if self._length is None:
-            self._length = len(self.inversions)
-        return self._length
+        return len(self.inversions)
 
     @property
     def inversions(self) -> tuple[tuple[int, ...], ...]:
@@ -144,26 +141,16 @@ class WeylElement:
 
     # -- action on the weight lattice ----------------------------------------
 
-    @property
-    def weight_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """Matrix of the action on fundamental-weight coordinates (rows index
-        output coordinates)."""
-        if self._weight_matrix is None:
-            datum = self.group.datum
-            n = self.group.rank
-            cols = []
-            for j in range(n):
-                v = tuple(1 if i == j else 0 for i in range(n))
-                for k in reversed(self.word):
-                    v = rootsys.reflect(datum, k, v)
-                cols.append(v)
-            self._weight_matrix = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-        return self._weight_matrix
-
     def act_weight(self, coords) -> tuple[int, ...]:
-        m = self.weight_matrix
-        n = self.group.rank
-        return tuple(sum(m[i][j] * coords[j] for j in range(n)) for i in range(n))
+        """Image of a weight (fundamental-weight coordinates): the simple
+        reflections of the word, applied right to left."""
+        datum = self.group.datum
+        # the identity's empty word never reaches reflect, which checks the length
+        rootsys.check_coords(datum, coords)
+        lam = tuple(coords)
+        for k in reversed(self.word):
+            lam = rootsys.reflect(datum, k, lam)
+        return lam
 
 
 class WeylGroup:
@@ -174,7 +161,6 @@ class WeylGroup:
         self.rank = datum.rank
         self.positive_root_coords = rootsys.positive_roots(datum)
         self._intern: dict[tuple, WeylElement] = {}
-        self._bruhat: dict[tuple[WeylElement, WeylElement], bool] = {}
         self._elements: tuple[WeylElement, ...] | None = None
         self._wp: dict[frozenset[int], tuple[WeylElement, ...]] = {}
         n = datum.rank
@@ -314,25 +300,17 @@ def require_wp(w: WeylElement, p: frozenset[int]) -> None:
 
 
 def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
-    """Bruhat order via the right-descent recursion, memoized on the group."""
+    """Bruhat order by the lifting property: for a right descent k of w,
+    u <= w iff min(u, u s_k) <= w s_k."""
     if u.group is not w.group:
         raise GroupMismatchError("Bruhat comparison across groups")
-    if u is w:
-        return True
-    if u.length >= w.length:
-        return False
-    memo = u.group._bruhat
-    key = (u, w)
-    val = memo.get(key)
-    if val is None:
+    while u is not w:
+        if u.length >= w.length:
+            return False
         k = w.right_descents()[0]
-        ws = u.group.right_mult_gen(w, k)
-        if u.has_right_descent(k):
-            val = bruhat_leq(u.group.right_mult_gen(u, k), ws)
-        else:
-            val = bruhat_leq(u, ws)
-        memo[key] = val
-    return val
+        u = hecke_down(u, k)
+        w = u.group.right_mult_gen(w, k)
+    return True
 
 
 def min_coset_rep(w: WeylElement, p) -> WeylElement:

@@ -502,3 +502,25 @@ def test_a_weyl_element_of_another_group_is_refused(engine):
         e.schubert_class(s1)
     with pytest.raises(weyl.GroupMismatchError):
         e.structure_constants(s1, s1)
+
+
+@pytest.mark.parametrize("k", [0, -1, 3])
+def test_demazure_of_a_class_with_no_points_checks_the_node(engine, k):
+    e = engine("A2")
+    with pytest.raises(IndexError, match=f"node index {k} out of range 1..2"):
+        e.demazure(KClass(e.datum, {}), k)
+
+
+def test_a_class_of_another_root_datum_is_refused(engine):
+    e, other = engine("A2"), engine("B2")
+    mine, theirs = e.schubert_class(e.W.simple(1)), other.schubert_class(other.W.simple(1))
+    calls = [
+        lambda: e.multiply(mine, theirs),
+        lambda: e.multiply(theirs, mine),
+        lambda: e.multiply(theirs, theirs),
+        lambda: e.demazure(theirs, 1),
+        lambda: e.gkm_violations(theirs),
+    ]
+    for call in calls:
+        with pytest.raises(weyl.GroupMismatchError, match="on A2 takes classes of A2, not of B2"):
+            call()

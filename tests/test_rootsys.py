@@ -5,6 +5,7 @@ import pytest
 from qkline import rootsys
 from qkline.rootsys import (
     CartanError,
+    _inverse_cartan,
     adjacent,
     alpha_to_omega,
     cartan_datum,
@@ -16,6 +17,7 @@ from qkline.rootsys import (
     reflect,
     simple_root,
 )
+from qkline.weyl import WeylGroup
 
 
 def coords(datum):
@@ -90,6 +92,22 @@ def test_conversions_refuse_coordinates_of_the_wrong_length(convert, coords):
         convert(named_datum("A2"), coords)
 
 
+@pytest.mark.parametrize(
+    "read, coords",
+    [
+        pytest.param(lambda d, c: reflect(d, 1, c), (1, 0, 5), id="reflect"),
+        pytest.param(lambda d, c: WeylGroup.for_datum(d).simple(1).act_weight(c), (1, 0, 5), id="act_weight"),
+        pytest.param(lambda d, c: WeylGroup.for_datum(d).identity.act_weight(c), (1, 0, 5), id="identity-act_weight"),
+        pytest.param(lambda d, c: WeylGroup.for_datum(d).simple(1).apply_to_root(c), (1,), id="apply_to_root"),
+        pytest.param(lambda d, c: rootsys.root_pairing(d, c, (1, 0)), (1, 0, 7), id="root_pairing-gamma"),
+        pytest.param(lambda d, c: rootsys.root_pairing(d, (1, 0), c), (1,), id="root_pairing-beta"),
+    ],
+)
+def test_coordinate_readers_refuse_tuples_of_the_wrong_length(read, coords):
+    with pytest.raises(ValueError, match=re.escape(f"coordinates {coords} do not have length 2, the rank of A2")):
+        read(named_datum("A2"), coords)
+
+
 def test_reflect_examples():
     a1 = named_datum("A1")
     assert reflect(a1, 1, (1,)) == (-1,)
@@ -138,6 +156,12 @@ def test_rejects_non_cartan_input():
         cartan_datum([[2, 1], [1, 2]])  # positive off-diagonal
     with pytest.raises(CartanError):
         cartan_datum([[2, -2], [-2, 2]])  # affine: not positive definite
+    for pivot_at_most_zero in (
+        [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],  # affine A2~: the third pivot is 0
+        [[2, -1, 0], [-1, 2, -2], [0, -2, 2]],  # the third pivot is -2/3
+    ):
+        with pytest.raises(CartanError, match="not of finite type"):
+            cartan_datum(pivot_at_most_zero)
     with pytest.raises(CartanError):
         cartan_datum([[1]])
 
@@ -196,10 +220,9 @@ def test_symmetrizer_matches_bourbaki():
 def test_omega_to_alpha_in_integers():
     import itertools
 
-    from qkline.rootsys import _inverse_cartan
-
-    for label in ("A3", "B3", "C3", "D4", "G2", "F4", "E6"):
-        datum = named_datum(label)
+    labels = ("A3", "B3", "C3", "D4", "G2", "F4", "E6", "E7", "E8", "B5", "C4", "D5")
+    a1_times_a2 = cartan_datum([[2, 0, 0], [0, 2, -1], [0, -1, 2]])  # decomposable
+    for datum in [named_datum(label) for label in labels] + [a1_times_a2]:
         den, adj = _inverse_cartan(datum)
         n = datum.rank
         # adj is den * A^{-1}: an integer matrix with A . adj = den * I

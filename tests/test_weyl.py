@@ -177,25 +177,26 @@ def test_bruhat_is_partial_order():
 def test_bruhat_agrees_with_reflection_cover_oracle():
     # independent oracle: transitive closure of covers w = u*t, t a
     # reflection, with a length jump of exactly one
-    W = group("A3")
-    els = W.elements()
-    reflections = {x * W.simple(i) * x.inverse() for x in els for i in (1, 2, 3)}
-    leq = {(u, u) for u in els}
-    covers = {
-        (u, u * t)
-        for u in els
-        for t in reflections
-        if (u * t).length == u.length + 1
-    }
-    frontier = set(covers)
-    while frontier:
-        leq |= frontier
-        frontier = {
-            (a, d) for (a, b) in frontier for (c, d) in covers if b is c
-        } - leq
-    for u in els:
-        for w in els:
-            assert bruhat_leq(u, w) == ((u, w) in leq), (u.word_str, w.word_str)
+    for label in ("A3", "B3", "G2"):
+        W = group(label)
+        els = W.elements()
+        reflections = {x * W.simple(i) * x.inverse() for x in els for i in range(1, W.rank + 1)}
+        leq = {(u, u) for u in els}
+        covers = {
+            (u, u * t)
+            for u in els
+            for t in reflections
+            if (u * t).length == u.length + 1
+        }
+        frontier = set(covers)
+        while frontier:
+            leq |= frontier
+            frontier = {
+                (a, d) for (a, b) in frontier for (c, d) in covers if b is c
+            } - leq
+        for u in els:
+            for w in els:
+                assert bruhat_leq(u, w) == ((u, w) in leq), (label, u.word_str, w.word_str)
 
 
 def test_min_coset_rep():
@@ -399,3 +400,28 @@ def test_inverse_and_weight_action():
         lam = (1, -2)
         back = w.inverse().act_weight(w.act_weight(lam))
         assert back == lam
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2"])
+def test_act_weight_is_a_group_action(label):
+    # (uw).lam == u.(w.lam) on the fundamental weights, which span the lattice
+    W = group(label)
+    n = W.rank
+    omegas = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    for u in W.elements():
+        for w in W.elements():
+            uw = u * w
+            for lam in omegas:
+                assert uw.act_weight(lam) == u.act_weight(w.act_weight(lam))
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2"])
+def test_act_weight_agrees_with_the_root_action_on_the_root_lattice(label):
+    # independent route: convert to simple-root coordinates, apply the root table, convert back
+    W = group(label)
+    datum = W.datum
+    lams = [rootsys.alpha_to_omega(datum, beta) for beta in W.positive_root_coords]
+    for w in W.elements():
+        for lam in lams:
+            via_roots = rootsys.alpha_to_omega(datum, w.apply_to_root(rootsys.omega_to_alpha(datum, lam)))
+            assert w.act_weight(lam) == via_roots
