@@ -106,7 +106,7 @@ class KTEngine:
         self._schubert: dict[tuple, KClass] = {}
         self._opposite: dict[WeylElement, KClass] = {}
         self._constants: dict[tuple, SchubertExpansion] = {}
-        self._reflections: tuple[WeylElement, ...] | None = None
+        self._edges: dict[WeylElement, list[tuple]] | None = None
 
     # -- ring helpers ---------------------------------------------------------
 
@@ -182,12 +182,7 @@ class KTEngine:
             return got
         w0 = self.W.longest()
         up = self.schubert_class(w0 * w)
-        vals = {}
-        for u in self.W.elements():
-            raw = up.restrictions.get(w0 * u)
-            if raw:
-                vals[u] = repring.weyl_act(w0, raw)
-        cls = KClass(self.datum, vals)
+        cls = KClass(self.datum, {w0 * x: repring.weyl_act(w0, val) for x, val in up.restrictions.items()})
         self._opposite[w] = cls
         return cls
 
@@ -317,39 +312,38 @@ class KTEngine:
 
     # -- moment-graph checks --------------------------------------------------------
 
-    def reflections(self) -> tuple[WeylElement, ...]:
-        """The reflection s_beta for each positive root, in root order."""
-        if self._reflections is None:
-            datum = self.datum
-            refs = []
-            for beta in self.W.positive_root_coords:
-                cols = []
-                for j in range(self.rank):
-                    gamma = tuple(1 if i == j else 0 for i in range(self.rank))
-                    pair = rootsys.root_pairing(datum, gamma, beta)
-                    cols.append(tuple(g - pair * b for g, b in zip(gamma, beta)))
-                refs.append(self.W.intern(tuple(cols)))
-            self._reflections = tuple(refs)
-        return self._reflections
+    def _moment_graph(self) -> dict[WeylElement, list[tuple]]:
+        """For each point w of W, its edges ``(s_beta w, beta, beta in weight
+        coordinates)`` over the positive roots in root order; built whole
+        before it is stored, so a concurrent reader never sees a part."""
+        if self._edges is None:
+            datum, W = self.datum, self.W
+            roots = [(beta, rootsys.alpha_to_omega(datum, beta)) for beta in W.positive_root_coords]
+
+            def reflect(beta, gamma):  # s_beta on simple-root coordinates
+                pair = rootsys.root_pairing(datum, gamma, beta)
+                return tuple(g - pair * b for g, b in zip(gamma, beta))
+
+            self._edges = {
+                w: [(W.intern(tuple(reflect(beta, col) for col in w.table)), beta, lam) for beta, lam in roots]
+                for w in W.elements()
+            }
+        return self._edges
 
     def gkm_violations(self, c: KClass):
         """Edge-divisibility failures as (point, root) pairs, at most four;
-        empty means the class satisfies the moment-graph condition.  Checks
-        classes on G/B."""
+        empty means the class satisfies the moment-graph condition.  Each
+        edge with a value at either end is tested once, from its shorter end
+        when both carry values.  Checks classes on G/B."""
         self._require_on(c, frozenset(), "gkm_violations")
+        vals, graph = c.restrictions, self._moment_graph()
         bad = []
-        refs = self.reflections()
-        seen_pairs = set()
-        pts = list(c.restrictions)
-        for w in pts:
-            for beta, sbeta in zip(self.W.positive_root_coords, refs):
-                other = sbeta * w
-                pair = (w, other) if w.sort_key <= other.sort_key else (other, w)
-                if pair in seen_pairs:
+        for w in vals:
+            for other, beta, lam in graph[w]:
+                if other in vals and other.length < w.length:
                     continue
-                seen_pairs.add(pair)
-                diff = c.value(w) - c.value(other)
-                if diff and not repring.divides_one_minus_e(diff, rootsys.alpha_to_omega(self.datum, beta)):
+                diff = vals[w] - c.value(other)
+                if diff and not repring.divides_one_minus_e(diff, lam):
                     bad.append((w, beta))
                     if len(bad) >= 4:
                         return bad

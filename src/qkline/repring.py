@@ -8,16 +8,19 @@ Internally each exponent vector is packed into a single integer whose
 natural ordering realizes graded-lex order on exponents (total degree field
 first, then the coordinates, each shifted by a fixed offset into a 24-bit
 field; a coordinate outside ``[-2**23, 2**23)`` is refused).  Packing is
-additive, so ``e^lam * e^mu`` is one integer addition; it also makes the
-leading-term scans of exact division cheap.  The packing is an internal
-detail: the public API speaks exponent tuples.
+additive, so ``e^lam * e^mu`` is one integer addition and a move along a
+root, ``lam - t beta`` with ``t`` read off one field, one multiply-subtract:
+the Weyl action and the test for divisibility by ``1 - e^beta`` use it.
+Packed order makes the leading-term scans of exact division cheap.  The
+packing is an internal detail: the public API speaks exponent tuples.
 
 Packed addition does not see a field overflow, so every element carries a
 bound on ``|coordinate|`` over its exponents: a sum gets the larger of its
 summands' bounds, a product or a quotient the sum of its operands' bounds.
 A product or quotient whose bound could reach the edge of a field is
-checked exactly and refused with ``ValueError``, like ``_pack``; the test is
-O(1) per operation and nothing is unpacked in the inner loops.
+checked exactly and refused with ``ValueError``, like ``_pack``; a move along
+a root whose bound could reach it takes a checked route instead.  The test
+is O(1) per operation and nothing is unpacked in the inner loops.
 
 Division is polynomial long division against the graded-lex leading term.
 For an exact quotient the leading term of each partial remainder equals
@@ -36,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import rootsys
 from .rootsys import CartanDatum
@@ -265,27 +268,28 @@ def accumulate(acc: dict, key, val) -> None:
 
 
 def weyl_act(w, a: RingElt) -> RingElt:
-    """The ring automorphism e^lam -> e^{w lam} for a Weyl group element."""
-    return a.map_exponents(w.act_weight)
+    """e^lam -> e^{w lam}: the simple reflections of w's word, right to left."""
+    datum = w.group.datum
+    if a.rank != datum.rank:  # the identity's empty word reaches no simple_reflection
+        raise ValueError("rank mismatch between ring element and root datum")
+    for k in reversed(w.word):
+        a = simple_reflection(a, datum, k)
+    return a
 
 
 def simple_reflection(a: RingElt, datum: CartanDatum, k: int, bound: int | None = None) -> RingElt:
-    """``weyl_act(s_k, a)`` on packed keys: ``s_k lam = lam - lam_k alpha_k``,
-    and packing is additive, so each key moves by ``lam_k * packed(alpha_k)``.
-    The result's bound is ``a``'s times ``1 + max |alpha_k|``; a caller that
-    has proved a smaller bound on the result passes it as ``bound``.  When
-    the bound reaches the edge of a field, the terms go through the checked
-    packing instead, which raises ValueError."""
+    """``weyl_act(s_k, a)`` on packed keys: ``s_k lam = lam - lam_k alpha_k``.
+    The result's bound is ``a``'s times ``1 + max |alpha_k|``, or a smaller
+    ``bound`` that the caller has proved; at the edge of a field the terms go
+    through ``rootsys.reflect`` and the checked packing, raising ValueError."""
     if a.rank != datum.rank:
         raise ValueError("rank mismatch between ring element and root datum")
     alpha, shift, step = _reflection_step(datum, k)
     generic = a._bound * (1 + max(map(abs, alpha)))
     bound = generic if bound is None else min(bound, generic)
     if bound >= _COORD_OFF:
-        return a.map_exponents(lambda lam: tuple(x - lam[k - 1] * y for x, y in zip(lam, alpha)))
-    mask = (1 << _COORD_BITS) - 1
-    terms = {key - (((key >> shift) & mask) - _COORD_OFF) * step: c for key, c in a._terms.items()}
-    return RingElt(a.rank, terms, bound)
+        return a.map_exponents(partial(rootsys.reflect, datum, k))
+    return RingElt(a.rank, dict(_moved_terms(a, shift, 1, step)), bound)
 
 
 @lru_cache(maxsize=None)
@@ -294,6 +298,14 @@ def _reflection_step(datum: CartanDatum, k: int):
     alpha = rootsys.alpha_to_omega(datum, rootsys.simple_root(datum, k))
     shifts, _, key0, _ = _codec(datum.rank)
     return alpha, shifts[k - 1], _pack(datum.rank, alpha) - key0
+
+
+def _moved_terms(a: RingElt, shift: int, d: int, step: int):
+    """(packed key of ``lam - floor(lam_j / d) beta``, coefficient) per term of
+    ``a``, for field j at ``shift`` and ``step`` = packed(beta) off by key0."""
+    mask = (1 << _COORD_BITS) - 1
+    for key, c in a._terms.items():
+        yield key - ((((key >> shift) & mask) - _COORD_OFF) // d) * step, c
 
 
 def exact_divide(a: RingElt, b: RingElt) -> RingElt:
@@ -342,29 +354,26 @@ def exact_divide(a: RingElt, b: RingElt) -> RingElt:
 
 
 def divides_one_minus_e(a: RingElt, beta_weight_coords) -> bool:
-    """Fast test for divisibility by 1 - e^beta: project every exponent to a
-    canonical representative of its coset modulo Z*beta and check that the
-    coefficient sums vanish classwise."""
-    if not a:
-        return True
-    b = tuple(beta_weight_coords)
-    j = next(i for i, x in enumerate(b) if x)
-    if b[j] < 0:
-        b = tuple(-x for x in b)
-        j = next(i for i, x in enumerate(b) if x)
-    bj = b[j]
-    rank = a.rank
-    sums: dict[tuple[int, ...], int] = {}
-    for k, c in a._terms.items():
-        lam = _unpack(rank, k)
-        t = lam[j] // bj
-        rep = tuple(x - t * y for x, y in zip(lam, b))
-        v = sums.get(rep, 0) + c
-        if v:
-            sums[rep] = v
-        else:
-            del sums[rep]
-    return not sums
+    """Divisibility by 1 - e^beta: the coefficient sums over every coset
+    modulo Z*beta vanish.  Each exponent moves to the coset's member whose
+    coordinate j, the first nonzero one of beta, lies between 0 and beta_j."""
+    beta = tuple(beta_weight_coords)
+    if len(beta) != a.rank:
+        raise ValueError(f"root {beta} does not have length {a.rank}, the rank")
+    j = next((i for i, x in enumerate(beta) if x), None)
+    if j is None:
+        raise ZeroDivisionError("division by the zero ring element")
+    if a._bound * (1 + max(map(abs, beta))) >= _COORD_OFF:
+        try:
+            exact_divide(a, RingElt.one(a.rank) - RingElt.monomial(a.rank, beta))
+            return True
+        except NotDivisible:
+            return False
+    shifts, _, key0, _ = _codec(a.rank)
+    sums: dict[int, int] = {}
+    for key, c in _moved_terms(a, shifts[j], beta[j], _pack(a.rank, beta) - key0):
+        sums[key] = sums.get(key, 0) + c
+    return not any(sums.values())
 
 
 def rewrite_in_shifted_basis(a: RingElt, datum: CartanDatum) -> dict[tuple[int, ...], int]:

@@ -134,23 +134,7 @@ class WeylElement:
         return self.group.intern(tuple(self.apply_to_root(col) for col in other.table))
 
     def inverse(self) -> "WeylElement":
-        w = self.group.identity
-        for k in reversed(self.word):
-            w = w * self.group.simple(k)
-        return w
-
-    # -- action on the weight lattice ----------------------------------------
-
-    def act_weight(self, coords) -> tuple[int, ...]:
-        """Image of a weight (fundamental-weight coordinates): the simple
-        reflections of the word, applied right to left."""
-        datum = self.group.datum
-        # the identity's empty word never reaches reflect, which checks the length
-        rootsys.check_coords(datum, coords)
-        lam = tuple(coords)
-        for k in reversed(self.word):
-            lam = rootsys.reflect(datum, k, lam)
-        return lam
+        return self.group.from_word(reversed(self.word))
 
 
 class WeylGroup:

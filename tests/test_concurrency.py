@@ -7,7 +7,8 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from qkline import KTEngine, WeylGroup, named_datum, weyl
+from qkline import KTEngine, RingElt, WeylGroup, named_datum, weyl
+from qkline.ktheory import KClass
 
 
 def test_shared_engine_concurrent_reads_match_serial():
@@ -44,6 +45,21 @@ def _concurrent_reads_match_serial(label, p):
                 uw, vw = job
                 want = {w.word_str: c for w, c in expected[(uw, vw)].items()}
                 assert got == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_shared_engine_concurrent_gkm_checks_match_serial():
+    # the first gkm_violations call builds the engine's moment graph while other threads already ask for it
+    datum = named_datum("A3")
+    bumps = [KClass(datum, {w: RingElt.one(3)}) for w in WeylGroup.for_datum(datum).elements()]
+    expected = [KTEngine(datum).gkm_violations(c) for c in bumps]
+    shared = KTEngine(datum)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            assert list(pool.map(shared.gkm_violations, bumps * 3, timeout=120)) == expected * 3
     finally:
         sys.setswitchinterval(interval)
 

@@ -6,7 +6,7 @@ import pytest
 from qkline import ExpansionError, KTEngine, named_datum, repring, weyl
 from qkline.ktheory import KClass
 from qkline.repring import RingElt, parse_expression
-from qkline.rootsys import alpha_to_omega, positive_roots
+from qkline.rootsys import alpha_to_omega, positive_roots, reflect
 
 
 def elt(engine, text):
@@ -64,7 +64,10 @@ def test_divisor_class_closed_form(engine):
             cls = e.schubert_class(e.W.simple(i))
             omega = tuple(1 if j == i - 1 else 0 for j in range(n))
             for w in e.W.elements():
-                shift = tuple(a - b for a, b in zip(w.act_weight(omega), omega))
+                w_omega = omega
+                for k in reversed(w.word):  # the simple reflections of the word, right to left
+                    w_omega = reflect(e.datum, k, w_omega)
+                shift = tuple(a - b for a, b in zip(w_omega, omega))
                 expected = e.ring_one() - RingElt.monomial(n, shift)
                 assert cls.value(w) == expected
 
@@ -101,6 +104,15 @@ def test_gkm_violations_are_point_and_root_tuple_pairs(engine):
     e = engine("A2")
     bump = KClass(e.datum, {e.W.identity: e.ring_one()})  # 1 at e, 0 elsewhere
     assert e.gkm_violations(bump) == [(e.W.identity, beta) for beta in [(1, 0), (0, 1), (1, 1)]]
+
+
+def test_gkm_violations_test_each_edge_once_from_its_shorter_end(engine):
+    # 1 everywhere, but at e a value that fails only the edge (e, s_1); the class is stored longest point first
+    e = engine("A2")
+    cls = {w: e.ring_one() for w in reversed(e.W.elements())}
+    cls[e.W.identity] = elt(e, "1 + (1-e(a2))*(1-e(a1+a2))")
+    assert list(cls)[-1] is e.W.identity
+    assert e.gkm_violations(KClass(e.datum, cls)) == [(e.W.identity, (1, 0))]
 
 
 def test_demazure_consistency(engine):

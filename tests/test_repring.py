@@ -3,6 +3,7 @@ import pathlib
 import re
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from qkline.repring import (
     to_pairs,
     weyl_act,
 )
-from qkline.rootsys import alpha_to_omega
+from qkline.rootsys import alpha_to_omega, positive_roots, reflect
 from qkline.weyl import WeylGroup
 
 A1 = named_datum("A1")
@@ -162,20 +163,6 @@ def test_division_that_is_not_exact_raises_without_hanging(name):
         [sys.executable, "-c", _HANGING_DIVISIONS[name]], capture_output=True, text=True, timeout=15, env=env
     )
     assert proc.stdout.strip() == "raised", proc.stderr[-500:]
-
-
-def test_divides_one_minus_e_matches_exact_division():
-    one = RingElt.one(2)
-    beta = alpha_to_omega(A2, (1, 1))
-    divisor = one - RingElt.monomial(2, beta)
-    for a in [one - e(A2, 1, 1), (one - e(A2, 1, 1)) * e(A2, -3, 2), one - e(A2, 1, 0), e(A2, 1, 1) - e(A2, 2, 2)]:
-        fast = repring.divides_one_minus_e(a, beta)
-        try:
-            exact_divide(a, divisor)
-            slow = True
-        except NotDivisible:
-            slow = False
-        assert fast == slow
 
 
 def test_specialize_to_one():
@@ -411,15 +398,15 @@ def test_products_and_quotients_round_trip_or_raise_at_field_edges(x, y):
 def test_simple_reflection_matches_weyl_act_or_raises_at_field_edges(label, k, a, x):
     datum = named_datum(label)
     s_k = WeylGroup.for_datum(datum).simple(k)
-    assert repring.simple_reflection(a, datum, k) == weyl_act(s_k, a)
+    reference = partial(reflect, datum, k)  # the checked route, one exponent tuple at a time
+    assert repring.simple_reflection(a, datum, k) == weyl_act(s_k, a) == a.map_exponents(reference)
 
     def fits(coords):
         return all(-_EDGE <= c < _EDGE for c in coords)
 
     if not fits(x):
         return
-    alpha = alpha_to_omega(datum, tuple(int(i == k - 1) for i in range(2)))
-    want = tuple(c - x[k - 1] * y for c, y in zip(x, alpha))
+    want = reference(x)
     m = RingElt.monomial(2, x, 3)
     builds = [lambda: repring.simple_reflection(m, datum, k), lambda: weyl_act(s_k, m)]
     if fits(want):
@@ -431,3 +418,46 @@ def test_simple_reflection_matches_weyl_act_or_raises_at_field_edges(label, k, a
         for build in builds:
             with pytest.raises(ValueError, match="outside"):
                 build()
+
+
+_ROOTS_IN_WEIGHT_COORDS = [
+    alpha_to_omega(named_datum(label), beta)
+    for label in ("A2", "B2", "G2")
+    for beta in positive_roots(named_datum(label))
+]
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(_ROOTS_IN_WEIGHT_COORDS), ring_elts(), st.tuples(_edge_coord, _edge_coord), st.booleans())
+def test_divides_one_minus_e_matches_exact_division(beta, a, x, times_divisor):
+    # a shift x at the field edge sends the test to exact_divide, a small one to the packed path;
+    # a stays within a few steps of e^x, so exact_divide's walk is short
+    divisor = RingElt.one(2) - RingElt.monomial(2, beta)
+    try:
+        a = a * RingElt.monomial(2, x)
+        if times_divisor:
+            a = a * divisor
+    except ValueError:  # x or the product leaves the packed fields; test what was built
+        pass
+    try:
+        exact_divide(a, divisor)
+        slow = True
+    except NotDivisible:
+        slow = False
+    assert repring.divides_one_minus_e(a, beta) == slow
+
+
+@pytest.mark.parametrize(
+    "a, beta, error, match",
+    [
+        pytest.param(RingElt.one(2) - RingElt.monomial(2, (1, 1)), (1, 1, 5), ValueError, "length 2", id="long"),
+        pytest.param(RingElt.one(2) - RingElt.monomial(2, (1, 0)), (1,), ValueError, "length 2", id="short"),
+        pytest.param(RingElt.zero(2), (1,), ValueError, "length 2", id="short-zero-element"),
+        pytest.param(RingElt.one(2), (0, 0), ZeroDivisionError, "zero", id="zero-root"),
+        pytest.param(RingElt.zero(2), (0, 0), ZeroDivisionError, "zero", id="zero-root-zero-element"),
+    ],
+)
+def test_divides_one_minus_e_refuses_a_root_of_the_wrong_length_or_zero(a, beta, error, match):
+    # zip used to truncate the longer tuple, and beta = 0 raised a bare StopIteration
+    with pytest.raises(error, match=match):
+        repring.divides_one_minus_e(a, beta)

@@ -3,6 +3,7 @@ import re
 import pytest
 
 from qkline import rootsys
+from qkline.repring import RingElt, weyl_act
 from qkline.rootsys import (
     CartanError,
     _inverse_cartan,
@@ -93,18 +94,30 @@ def test_conversions_refuse_coordinates_of_the_wrong_length(convert, coords):
 
 
 @pytest.mark.parametrize(
-    "read, coords",
+    "read, coords, match",
     [
-        pytest.param(lambda d, c: reflect(d, 1, c), (1, 0, 5), id="reflect"),
-        pytest.param(lambda d, c: WeylGroup.for_datum(d).simple(1).act_weight(c), (1, 0, 5), id="act_weight"),
-        pytest.param(lambda d, c: WeylGroup.for_datum(d).identity.act_weight(c), (1, 0, 5), id="identity-act_weight"),
-        pytest.param(lambda d, c: WeylGroup.for_datum(d).simple(1).apply_to_root(c), (1,), id="apply_to_root"),
-        pytest.param(lambda d, c: rootsys.root_pairing(d, c, (1, 0)), (1, 0, 7), id="root_pairing-gamma"),
-        pytest.param(lambda d, c: rootsys.root_pairing(d, (1, 0), c), (1,), id="root_pairing-beta"),
+        pytest.param(lambda d, c: reflect(d, 1, c), (1, 0, 5), None, id="reflect"),
+        pytest.param(
+            lambda d, c: weyl_act(WeylGroup.for_datum(d).simple(1), RingElt.monomial(len(c), c)),
+            (1, 0, 5),
+            "rank mismatch between ring element and root datum",
+            id="act_weight",
+        ),
+        pytest.param(
+            lambda d, c: weyl_act(WeylGroup.for_datum(d).identity, RingElt.monomial(len(c), c)),
+            (1, 0, 5),
+            "rank mismatch between ring element and root datum",
+            id="identity-act_weight",
+        ),
+        pytest.param(lambda d, c: WeylGroup.for_datum(d).simple(1).apply_to_root(c), (1,), None, id="apply_to_root"),
+        pytest.param(lambda d, c: rootsys.root_pairing(d, c, (1, 0)), (1, 0, 7), None, id="root_pairing-gamma"),
+        pytest.param(lambda d, c: rootsys.root_pairing(d, (1, 0), c), (1,), None, id="root_pairing-beta"),
     ],
 )
-def test_coordinate_readers_refuse_tuples_of_the_wrong_length(read, coords):
-    with pytest.raises(ValueError, match=re.escape(f"coordinates {coords} do not have length 2, the rank of A2")):
+def test_coordinate_readers_refuse_tuples_of_the_wrong_length(read, coords, match):
+    # the Weyl action reads a ring element, whose exponents have the element's rank
+    match = match or re.escape(f"coordinates {coords} do not have length 2, the rank of A2")
+    with pytest.raises(ValueError, match=match):
         read(named_datum("A2"), coords)
 
 

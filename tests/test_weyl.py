@@ -4,6 +4,7 @@ import re
 import pytest
 
 from qkline import KTEngine, named_datum, rootsys, weyl
+from qkline.repring import RingElt, weyl_act
 from qkline.weyl import (
     WeylGroup,
     bruhat_leq,
@@ -397,22 +398,22 @@ def test_inverse_and_weight_action():
     W = group("C2")
     for w in list(W.elements())[:8]:
         assert w * w.inverse() is W.identity
-        lam = (1, -2)
-        back = w.inverse().act_weight(w.act_weight(lam))
+        lam = RingElt.monomial(2, (1, -2))
+        back = weyl_act(w.inverse(), weyl_act(w, lam))
         assert back == lam
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "G2"])
 def test_act_weight_is_a_group_action(label):
-    # (uw).lam == u.(w.lam) on the fundamental weights, which span the lattice
+    # (uw).lam == u.(w.lam) on the monomials of the fundamental weights, which span the lattice
     W = group(label)
     n = W.rank
-    omegas = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    omegas = [RingElt.monomial(n, tuple(int(i == j) for i in range(n))) for j in range(n)]
     for u in W.elements():
         for w in W.elements():
             uw = u * w
             for lam in omegas:
-                assert uw.act_weight(lam) == u.act_weight(w.act_weight(lam))
+                assert weyl_act(uw, lam) == weyl_act(u, weyl_act(w, lam))
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "G2"])
@@ -424,4 +425,4 @@ def test_act_weight_agrees_with_the_root_action_on_the_root_lattice(label):
     for w in W.elements():
         for lam in lams:
             via_roots = rootsys.alpha_to_omega(datum, w.apply_to_root(rootsys.omega_to_alpha(datum, lam)))
-            assert w.act_weight(lam) == via_roots
+            assert weyl_act(w, RingElt.monomial(W.rank, lam)) == RingElt.monomial(W.rank, via_roots)
