@@ -4,9 +4,11 @@ and the structural checks.
 Everything here reduces to the classical engine.  For a k-free parabolic the
 moduli of pointed lines of the simple-coroot degree is the flag manifold
 itself, so the three-point invariant collapses to an ordinary integral after
-one Hecke move on two of the indices:
+one Hecke move on two of the indices.  The integral is linear and every
+Schubert class integrates to 1, so for F = sum_w f_w O^w it is a pairing of
+memoised classical structure constants:
 
-    <O^u, O^v, [F]>_k  =  integral of O^{u_k} . O^{v_k} . [F].
+    <O^u, O^v, [F]>_k  =  sum_x c_{u_k,v_k}^x  sum_w f_w  sum_y c_{x,w}^y.
 
 For an admissible but not k-free pair the computation is pulled back to the
 k-free reduction P_k, and the quantum structure constant becomes a
@@ -14,9 +16,10 @@ difference of two coset-fibre sums of classical constants
 
     N_{u,v}^{w,k}  =  sum_a c_{u_k,v_k}^a  -  sum_b c_{u,v}^b,
 
-with a, b minimal representatives for P_k whose classes (respectively, the
-classes of b_k) project onto w.  When P is k-free both sums collapse and the
-constant is also the O^w-coefficient of
+with a in W^{P_k} and b in W^P whose classes (respectively, the classes of
+b_k) project onto w.  Pullback to G/P_k is a ring map sending O^b to O^b, so
+the c_{u,v}^b are the constants of G/P itself.  When P is k-free both sums
+collapse and the constant is also the O^w-coefficient of
 
     d_k(O^u) . d_k(O^v) - d_k(O^u . O^v),
 
@@ -138,18 +141,19 @@ def boundary_projected_gw(engine: KTEngine, u: WeylElement, v: WeylElement, k: i
 
 
 def kgw3(engine: KTEngine, u: WeylElement, v: WeylElement, f: SchubertExpansion, k: int, p=()) -> RingElt:
-    """Three-point degree-eps_k invariant against an arbitrary class given by
-    its Schubert expansion over the same quotient."""
+    """Three-point degree-eps_k invariant against F = sum_w f_w O^w on the
+    same quotient: the module docstring's pairing, on the k-free reduction."""
     p = require_admissible(engine.datum, p, k, u, v)
+    if f.parabolic != p:
+        raise ValueError(f"kgw3 on G/P for P = {sorted(p)} takes a class on it, not on P = {sorted(f.parabolic)}")
     if not weyl.is_k_free(engine.datum, p, k):
         pk = weyl.build_Pk(engine.datum, p, k)
         return kgw3(engine, u, v, engine.pullback(f, pk), k, pk)
-    cls = engine.multiply(
-        engine.schubert_class(hecke_down(u, k), p),
-        engine.schubert_class(hecke_down(v, k), p),
-    )
-    cls = engine.multiply(cls, engine.schubert_class_of_expansion(f))
-    return engine.euler_characteristic(engine.expand(cls))
+    total = engine.ring_zero()
+    for x, cx in engine.structure_constants(hecke_down(u, k), hecke_down(v, k), p).coeffs.items():
+        for w, fw in f.coeffs.items():
+            total = total + cx * fw * engine.euler_characteristic(engine.structure_constants(x, w, p))
+    return total
 
 
 def kgw2(engine: KTEngine, z: WeylElement, w: WeylElement, k: int, p=()) -> RingElt:
@@ -183,13 +187,12 @@ def qk_constant_divided_difference(engine: KTEngine, u, v, w, k, p=()) -> RingEl
 
 def quantum_coefficients(engine: KTEngine, u, v, k, p=()) -> dict[WeylElement, RingElt]:
     """All degree-eps_k constants N_{u,v}^{.,k} at once, by the two
-    coset-fibre sums over the k-free reduction."""
+    coset-fibre sums: a over W^{P_k}, b over the constants of G/P."""
     p = require_admissible(engine.datum, p, k, u, v)
     pk = weyl.build_Pk(engine.datum, p, k)
     up = engine.structure_constants(hecke_down(u, k), hecke_down(v, k), pk)
     acc = engine.pushforward(up, p).coeffs  # a fresh dict, owned here
-    cl = engine.structure_constants(u, v, pk)
-    for b, cf in cl.coeffs.items():
+    for b, cf in engine.structure_constants(u, v, p).coeffs.items():
         repring.accumulate(acc, min_coset_rep(hecke_down(b, k), p), -cf)
     return acc
 

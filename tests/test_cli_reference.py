@@ -4,7 +4,8 @@ any computed coefficient fails here as well as in the benchmark run.  The
 quotient tables in quotient_tables.json were recorded the same way, before
 the quotient solve moved from the points of W to the points of W^P, and the
 subcommand outputs in cli_outputs.json before the W^P checks moved into the
-hypothesis gates."""
+hypothesis gates (the peterson sweep on A3/{2} before kgw3 became a pairing
+of memoised structure constants)."""
 
 import hashlib
 import json

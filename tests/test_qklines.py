@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 
 import pytest
@@ -106,6 +107,46 @@ def test_kgw3_examples(engine):
     assert kgw3(e, s1, s2, exp_one(e, "e"), 1) == one
 
 
+def _triple_product(e, u, v, f, k, p):
+    """The invariant as the integral of O^{u_k} . O^{v_k} . F on the k-free
+    reduction, from public engine operations: the oracle for kgw3."""
+    q = weyl.build_Pk(e.datum, p, k)  # p itself when p is k-free
+    cls = e.multiply(*(e.schubert_class(weyl.hecke_down(x, k), q) for x in (u, v)))
+    cls = e.multiply(cls, e.schubert_class_of_expansion(e.pullback(f, q)))
+    return e.euler_characteristic(e.expand(cls))
+
+
+@pytest.mark.parametrize(
+    "label, p",
+    [("A3", ()), ("A3", (1, 3)), ("C3", (1,)), ("B3", (1,)), ("G2", (1,))],
+    ids=["A3", "A3-P13", "C3-P1", "B3-P1", "G2-P1"],
+)
+def test_kgw3_matches_the_triple_product(engine, label, p):
+    # every admissible node; A3/{1,3} at k = 2 and C3/{1}, B3/{1} at k = 2 take the P_k route.
+    # F has three terms with non-unit coefficients, so a dropped f_w shows
+    e = engine(label)
+    p = frozenset(p)
+    reps = weyl.enumerate_wp(e.W, p)
+    coeffs = [elt(e, c) for c in ("2", "-3", "1-e(-a1)", "2*e(-a2)+e(a1)")]
+    rng = random.Random(f"{label}/{sorted(p)}")
+    for k in range(1, e.rank + 1):
+        if k in p or not weyl.in_class_P(e.datum, p, k):
+            continue
+        for _ in range(6):
+            u, v = rng.choice(reps), rng.choice(reps)
+            f = SchubertExpansion({w: rng.choice(coeffs) for w in rng.sample(reps, 3)}, p)
+            assert kgw3(e, u, v, f, k, p) == _triple_product(e, u, v, f, k, p), (u, v, f.coeffs, k)
+
+
+def test_kgw3_refuses_a_class_on_another_quotient(engine):
+    # P = {2} at k = 1 pulls back to P_k = {}, which used to accept a class on G/B and return 1
+    e = engine("A2")
+    s1 = e.W.simple(1)
+    for p, f_p in (({2}, ()), ((), {2})):
+        with pytest.raises(ValueError, match=re.escape(f"P = {sorted(p)}") + ".*" + re.escape(f"P = {sorted(f_p)}")):
+            kgw3(e, s1, s1, exp_one(e, "1", f_p), 1, p)
+
+
 def test_kgw2_examples(engine):
     e = engine("A2")
     W = e.W
@@ -199,6 +240,30 @@ def test_qk_constant_general_lagrangian_quotient(engine):
         e.W.identity: elt(e, "-e(-a1-a2)"),
         s2: elt(e, "e(-a1-a2)"),
     }
+
+
+@pytest.mark.parametrize("label", ["A3", "B2", "B3", "C3", "G2", "D4"])
+def test_constants_pulled_back_to_the_k_free_reduction_keep_their_indices(engine, label):
+    # pullback G/P_k -> G/P is a ring map sending O^b to O^b, so for u, v in W^P the
+    # expansion of O^u . O^v is the same on both quotients; the second fibre sum relies on it.
+    # Every admissible, non-k-free pair (P, k); for D4 only P = {2,3,4}
+    e = engine(label)
+    nodes = range(1, e.rank + 1)
+    if label == "D4":
+        parabolics = [frozenset({2, 3, 4})]
+    else:
+        parabolics = [frozenset(c) for r in range(e.rank) for c in itertools.combinations(nodes, r)]
+    pairs = [
+        (p, k)
+        for p in parabolics
+        for k in nodes
+        if k not in p and weyl.in_class_P(e.datum, p, k) and not weyl.is_k_free(e.datum, p, k)
+    ]
+    assert pairs
+    for p, k in pairs:
+        pk = weyl.build_Pk(e.datum, p, k)
+        for u, v in itertools.combinations_with_replacement(weyl.enumerate_wp(e.W, p), 2):
+            assert e.structure_constants(u, v, pk).coeffs == e.structure_constants(u, v, p).coeffs
 
 
 def test_qk_constant_general_gate(engine):

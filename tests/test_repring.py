@@ -448,6 +448,30 @@ def test_divides_one_minus_e_matches_exact_division(beta, a, x, times_divisor):
 
 
 @pytest.mark.parametrize(
+    "a, beta, expected",
+    [
+        pytest.param(
+            RingElt.monomial(4, (2, 1, -_EDGE, _EDGE - 2)) - RingElt.monomial(4, (0, 0, _EDGE - 1, -_EDGE)),
+            (1, 0, 1, -1),
+            False,
+            id="A4-moved-keys-collide",
+        ),
+        pytest.param(
+            RingElt.monomial(4, (2, 1, 5 - _EDGE, _EDGE - 7)) - RingElt.monomial(4, (3, 1, 6 - _EDGE, _EDGE - 8)),
+            (1, 0, 1, -1),
+            True,
+            id="A4-divisible",
+        ),
+    ],
+)
+def test_divides_one_minus_e_at_the_field_edge_on_rank_4(a, beta, expected):
+    # beta = a1+a2+a3 of A4 in weight coordinates.  In the first row the two exponents lie in
+    # different cosets modulo Z*beta, yet their moved packed keys coincide, so a packed sum would
+    # cancel them; only the exact_divide route above the bound answers it
+    assert repring.divides_one_minus_e(a, beta) is expected
+
+
+@pytest.mark.parametrize(
     "a, beta, error, match",
     [
         pytest.param(RingElt.one(2) - RingElt.monomial(2, (1, 1)), (1, 1, 5), ValueError, "length 2", id="long"),
