@@ -134,8 +134,7 @@ class KTEngine:
         p = weyl.normalize_parabolic(self.datum, parabolic)
         got = self._schubert.get((v, p))
         if got is None:
-            if v.group is not self.W:
-                raise weyl.GroupMismatchError(f"{v!r} of {v.group.datum} is not in the Weyl group of {self.datum}")
+            self._require_element(v)
             weyl.require_wp(v, p)
             self._build_classes(p)
             got = self._schubert[(v, p)]
@@ -348,6 +347,11 @@ class KTEngine:
                     if len(bad) >= 4:
                         return bad
         return bad
+
+    def _require_element(self, v: WeylElement) -> None:
+        """Raise GroupMismatchError unless ``v`` is in this engine's own WeylGroup."""
+        if v.group is not self.W:
+            raise weyl.GroupMismatchError(f"{v!r} of {v.group.datum} is not in the Weyl group of {self.datum}")
 
     def _require_on(self, c: KClass, p: frozenset[int], op: str) -> None:
         """Raise ValueError unless ``c`` is a class of this engine's datum on

@@ -28,8 +28,9 @@ which this module exposes as an independent route for cross-checking.
 Admissibility is a hard gate: outside the admissible class the reduction to
 P_k fails (the comparison map of moduli spaces is not surjective), so every
 operation below refuses such input rather than extrapolate.  The same gate
-checks every index the operation takes against W^P, since each statement
-holds only for minimal coset representatives.
+checks that every index the operation takes, those of kgw3's F included, is
+in the engine's own Weyl group and in W^P: each statement holds only for
+minimal coset representatives.
 """
 
 from __future__ import annotations
@@ -48,33 +49,35 @@ class GateError(ValueError):
     """A quantum operation was invoked outside its proven hypotheses."""
 
 
-def require_k_free(datum, p, k, *points):
-    """The normalized parabolic, once P is k-free and every point is in W^P;
-    a GateError for the hypothesis, then require_wp's ValueError per point."""
+def _gate(engine: KTEngine, p, k, *points, k_free=False, f=None):
+    """(P, P_k) once (P, alpha_k) is admissible, or k-free if ``k_free`` (then
+    P_k = P): a GateError for the hypothesis, then per point GroupMismatchError
+    outside the engine's group and require_wp's ValueError outside W^P; for
+    kgw3's class ``f``, a ValueError off G/P, then the same for its indices."""
+    datum = engine.datum
     p = weyl.normalize_parabolic(datum, p)
-    if not weyl.is_k_free(datum, p, k):
+    if k_free and not weyl.is_k_free(datum, p, k):
         raise GateError(
             f"parabolic {sorted(p)} is not {k}-free: it contains a node adjacent to "
             f"alpha_{k}, so the space of degree-eps_{k} pointed lines is not the flag "
             "manifold itself"
         )
-    for x in points:
-        require_wp(x, p)
-    return p
-
-
-def require_admissible(datum, p, k, *points):
-    """As require_k_free, for an admissible pair (P, alpha_k)."""
-    p = weyl.normalize_parabolic(datum, p)
-    if not weyl.in_class_P(datum, p, k):
+    if not k_free and not weyl.in_class_P(datum, p, k):
         raise GateError(
             f"pair (P={sorted(p)}, alpha_{k}) is not admissible: alpha_{k} is short and "
             f"its component inside Delta_P + {{alpha_{k}}} is not simply laced; the "
             "reduction to the k-free quotient fails for such pairs"
         )
     for x in points:
+        engine._require_element(x)
         require_wp(x, p)
-    return p
+    if f is not None:
+        if f.parabolic != p:
+            raise ValueError(f"kgw3 on G/P for P = {sorted(p)} takes a class on it, not on P = {sorted(f.parabolic)}")
+        for x in f.coeffs:
+            engine._require_element(x)
+            require_wp(x, p)
+    return p, weyl.build_Pk(datum, p, k)
 
 
 # -- line neighborhoods and Richardson descriptors ------------------------------
@@ -100,7 +103,7 @@ class RichardsonDescriptor:
 def curve_neighborhood(engine: KTEngine, side: str, u: WeylElement, k: int, p=()) -> WeylElement:
     """Index of the union of degree-eps_k lines through a Schubert variety:
     one Hecke move up (lower variety) or down (opposite variety)."""
-    require_k_free(engine.datum, p, k, u)
+    _gate(engine, p, k, u, k_free=True)
     side = side.upper()
     if side == "X":
         return hecke_up(u, k)
@@ -112,7 +115,7 @@ def curve_neighborhood(engine: KTEngine, side: str, u: WeylElement, k: int, p=()
 def projected_gw(engine: KTEngine, u: WeylElement, v: WeylElement, k: int, p=()) -> RichardsonDescriptor:
     """The image of the two-pointed line locus: top u^k against bottom v_k.
     The nonempty flag doubles as the test for existence of such lines."""
-    require_k_free(engine.datum, p, k, u, v)
+    _gate(engine, p, k, u, v, k_free=True)
     return RichardsonDescriptor(hecke_up(u, k), hecke_down(v, k))
 
 
@@ -142,23 +145,19 @@ def boundary_projected_gw(engine: KTEngine, u: WeylElement, v: WeylElement, k: i
 
 def kgw3(engine: KTEngine, u: WeylElement, v: WeylElement, f: SchubertExpansion, k: int, p=()) -> RingElt:
     """Three-point degree-eps_k invariant against F = sum_w f_w O^w on the
-    same quotient: the module docstring's pairing, on the k-free reduction."""
-    p = require_admissible(engine.datum, p, k, u, v)
-    if f.parabolic != p:
-        raise ValueError(f"kgw3 on G/P for P = {sorted(p)} takes a class on it, not on P = {sorted(f.parabolic)}")
-    if not weyl.is_k_free(engine.datum, p, k):
-        pk = weyl.build_Pk(engine.datum, p, k)
-        return kgw3(engine, u, v, engine.pullback(f, pk), k, pk)
+    same quotient: the module docstring's pairing, on the k-free reduction
+    G/P_k, where F's pullback has the same indices and coefficients."""
+    _, pk = _gate(engine, p, k, u, v, f=f)
     total = engine.ring_zero()
-    for x, cx in engine.structure_constants(hecke_down(u, k), hecke_down(v, k), p).coeffs.items():
+    for x, cx in engine.structure_constants(hecke_down(u, k), hecke_down(v, k), pk).coeffs.items():
         for w, fw in f.coeffs.items():
-            total = total + cx * fw * engine.euler_characteristic(engine.structure_constants(x, w, p))
+            total = total + cx * fw * engine.euler_characteristic(engine.structure_constants(x, w, pk))
     return total
 
 
 def kgw2(engine: KTEngine, z: WeylElement, w: WeylElement, k: int, p=()) -> RingElt:
     """Two-point invariant against the dual class: 1 exactly when z_k == w."""
-    require_k_free(engine.datum, p, k, z, w)
+    _gate(engine, p, k, z, w, k_free=True)
     return engine.ring_one() if hecke_down(z, k) is w else engine.ring_zero()
 
 
@@ -168,7 +167,7 @@ def kgw2(engine: KTEngine, z: WeylElement, w: WeylElement, k: int, p=()) -> Ring
 def qk_constant_kfree(engine: KTEngine, u, v, w, k, p=()) -> RingElt:
     """The closed formula for k-free parabolics:
     c_{u_k,v_k}^w - [w has no descent at k] (c_{u,v}^{w s_k} + c_{u,v}^w)."""
-    p = require_k_free(engine.datum, p, k, u, v, w)
+    p, _ = _gate(engine, p, k, u, v, w, k_free=True)
     val = engine.structure_constants(hecke_down(u, k), hecke_down(v, k), p).coeff(w)
     if not w.has_right_descent(k):
         cl = engine.structure_constants(u, v, p)
@@ -179,7 +178,7 @@ def qk_constant_kfree(engine: KTEngine, u, v, w, k, p=()) -> RingElt:
 def qk_constant_divided_difference(engine: KTEngine, u, v, w, k, p=()) -> RingElt:
     """Same constant via the operator route: the O^w-coefficient of
     d_k(O^u) . d_k(O^v) - d_k(O^u . O^v)."""
-    p = require_k_free(engine.datum, p, k, u, v, w)
+    p, _ = _gate(engine, p, k, u, v, w, k_free=True)
     first = engine.structure_constants(hecke_down(u, k), hecke_down(v, k), p)
     second = engine.divided_difference(engine.structure_constants(u, v, p), k)
     return first.coeff(w) - second.coeff(w)
@@ -188,8 +187,7 @@ def qk_constant_divided_difference(engine: KTEngine, u, v, w, k, p=()) -> RingEl
 def quantum_coefficients(engine: KTEngine, u, v, k, p=()) -> dict[WeylElement, RingElt]:
     """All degree-eps_k constants N_{u,v}^{.,k} at once, by the two
     coset-fibre sums: a over W^{P_k}, b over the constants of G/P."""
-    p = require_admissible(engine.datum, p, k, u, v)
-    pk = weyl.build_Pk(engine.datum, p, k)
+    p, pk = _gate(engine, p, k, u, v)
     up = engine.structure_constants(hecke_down(u, k), hecke_down(v, k), pk)
     acc = engine.pushforward(up, p).coeffs  # a fresh dict, owned here
     for b, cf in engine.structure_constants(u, v, p).coeffs.items():
@@ -200,9 +198,8 @@ def quantum_coefficients(engine: KTEngine, u, v, k, p=()) -> dict[WeylElement, R
 def qk_constant_general(engine: KTEngine, u, v, w, k, p=()) -> RingElt:
     """Quantum constant for any admissible pair; agrees with the k-free
     formula whenever that one applies."""
-    p = require_admissible(engine.datum, p, k, w)
-    coeffs = quantum_coefficients(engine, u, v, k, p)
-    return coeffs.get(w, engine.ring_zero())
+    p, _ = _gate(engine, p, k, w)
+    return quantum_coefficients(engine, u, v, k, p).get(w, engine.ring_zero())
 
 
 @dataclass(frozen=True)
@@ -238,8 +235,8 @@ def qk_product_degree1(engine: KTEngine, u, v, p=()) -> QKProduct:
 def cor_xi_sum(engine: KTEngine, u, v, w, k, p, q) -> RingElt:
     """Invariant against a dual class, as a coset-fibre sum of classical
     constants over any k-free refinement q of the parabolic p."""
-    p = require_admissible(engine.datum, p, k, u, v, w)
-    q = require_k_free(engine.datum, q, k)
+    p, _ = _gate(engine, p, k, u, v, w)
+    q, _ = _gate(engine, q, k, k_free=True)
     if not q <= p:
         raise ValueError("the refinement must be contained in the parabolic")
     consts = engine.structure_constants(hecke_down(u, k), hecke_down(v, k), q)
@@ -289,7 +286,7 @@ def _report(check, engine: KTEngine, p, k, witnesses, details) -> CheckReport:
 def vanishing_check(engine: KTEngine, p, k) -> CheckReport:
     """All constants N_{u,v}^{.,k} vanish when u or v is already Hecke-fixed
     at k; sweeps every such pair of minimal representatives."""
-    p = require_admissible(engine.datum, p, k)
+    p, _ = _gate(engine, p, k)
     reps = weyl.enumerate_wp(engine.W, p)
     pairs = [
         (u, v)
@@ -318,7 +315,7 @@ def _signed_constants(engine: KTEngine, p, k):
 def sign_check(engine: KTEngine, p, k) -> CheckReport:
     """Alternation of the nonequivariant constants for a k-free parabolic,
     with the quantum-parameter degree equal to 2."""
-    p = require_k_free(engine.datum, p, k)
+    p, _ = _gate(engine, p, k, k_free=True)
     n = len(weyl.enumerate_wp(engine.W, p))
     witnesses = [
         (u.word_str, v.word_str, w.word_str, str(val.specialize_to_one()))
@@ -332,7 +329,7 @@ def equivariant_positivity_diagnostic(engine: KTEngine, p, k) -> CheckReport:
     """Conjectural refinement: sign-adjusted constants should have
     nonnegative coefficients in the shifted variables e^{-alpha_i} - 1
     restricted to nodes outside the parabolic.  Reported, never failed."""
-    p = require_k_free(engine.datum, p, k)
+    p, _ = _gate(engine, p, k, k_free=True)
     conforming = 0
     nonconforming = []
     for u, v, w, val, sign in _signed_constants(engine, p, k):
@@ -352,15 +349,15 @@ def equivariant_positivity_diagnostic(engine: KTEngine, p, k) -> CheckReport:
 
 
 def peterson_check(engine: KTEngine, p, k, u, v, w) -> CheckReport:
-    """Quotient-to-full-flag comparison through independent code paths: the
-    reduction route on the quotient against the full-flag route, both plain
-    and with the longest-element twist of the third index."""
-    p = require_admissible(engine.datum, p, k, u, v, w)
+    """Quotient-to-full-flag comparison of kgw3 against O^w on G/P, O^w on G/B
+    and O^{w w_{P_k}} on G/B: one pairing, on G/P_k once and on G/B twice, not
+    independent code paths.  With P_k empty the three are one sum computed three
+    times and the check cannot fail: A3/{1,3} at k = 2, A3/{2} at both nodes."""
+    p, pk = _gate(engine, p, k, u, v, w)
     one = engine.ring_one()
     lhs = kgw3(engine, u, v, SchubertExpansion({w: one}, p), k, p)
     borel = frozenset()
     mid = kgw3(engine, u, v, SchubertExpansion({w: one}, borel), k, borel)
-    pk = weyl.build_Pk(engine.datum, p, k)
     twisted = w * weyl.longest_element(engine.W, pk)
     rhs = kgw3(engine, u, v, SchubertExpansion({twisted: one}, borel), k, borel)
     ok = lhs == mid == rhs
@@ -371,7 +368,7 @@ def peterson_check(engine: KTEngine, p, k, u, v, w) -> CheckReport:
 def peterson_sweep(engine: KTEngine, p, k) -> list[CheckReport]:
     """peterson_check on every triple of minimal representatives: the reports
     of the failing triples, then one summary counting the triples."""
-    p = require_admissible(engine.datum, p, k)
+    p, _ = _gate(engine, p, k)
     reps = weyl.enumerate_wp(engine.W, p)
     reports = []
     for u, v, w in itertools.product(reps, repeat=3):

@@ -62,17 +62,7 @@ class CartanDatum:
     def __post_init__(self):
         a = self.cartan
         n = self.rank
-        if n < 1 or len(a) != n or any(len(row) != n for row in a):
-            raise CartanError("Cartan matrix must be rank x rank")
-        for i in range(n):
-            if a[i][i] != 2:
-                raise CartanError("diagonal entries must equal 2")
-            for j in range(n):
-                if i != j:
-                    if a[i][j] > 0:
-                        raise CartanError("off-diagonal entries must be <= 0")
-                    if (a[i][j] == 0) != (a[j][i] == 0):
-                        raise CartanError("zero pattern must be symmetric")
+        _check_matrix(a, n)
         d = self.symmetrizer
         if len(d) != n or any(x <= 0 for x in d):
             raise CartanError("symmetrizer must consist of positive integers")
@@ -86,28 +76,35 @@ class CartanDatum:
         return self.label or f"CartanDatum(rank={self.rank})"
 
 
+def _check_matrix(a, n) -> None:
+    """Shape n x n, 2 on the diagonal, off-diagonal entries <= 0 with a symmetric zero pattern."""
+    if n < 1 or len(a) != n or any(len(row) != n for row in a):
+        raise CartanError("Cartan matrix must be rank x rank")
+    for i in range(n):
+        if a[i][i] != 2:
+            raise CartanError("diagonal entries must equal 2")
+        for j in range(n):
+            if i != j:
+                if a[i][j] > 0:
+                    raise CartanError("off-diagonal entries must be <= 0")
+                if (a[i][j] == 0) != (a[j][i] == 0):
+                    raise CartanError("zero pattern must be symmetric")
+
+
 def _symmetrizer_from_matrix(a) -> tuple[int, ...]:
-    """Solve d[i]*a[i][j] == d[j]*a[j][i] componentwise over each Dynkin component."""
+    """Solve d[i]*a[i][j] == d[j]*a[j][i] along a spanning tree of each Dynkin
+    component of a checked matrix; CartanDatum refuses a d that fails off the tree."""
     n = len(a)
     d: list[Fraction | None] = [None] * n
     for start in range(n):
-        if d[start] is not None:
-            continue
-        d[start] = Fraction(1)
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if i == j or a[i][j] == 0:
-                    continue
-                if a[j][i] == 0:
-                    raise CartanError("zero pattern must be symmetric")
-                val = d[i] * Fraction(a[i][j], a[j][i])
-                if d[j] is None:
-                    d[j] = val
-                    stack.append(j)
-                elif d[j] != val:
-                    raise CartanError("no consistent symmetrizer exists")
+        if d[start] is None:
+            d[start], stack = Fraction(1), [start]
+            while stack:
+                i = stack.pop()
+                for j in range(n):
+                    if i != j and a[i][j] and d[j] is None:
+                        d[j] = d[i] * Fraction(a[i][j], a[j][i])
+                        stack.append(j)
     denom_lcm = math.lcm(*(x.denominator for x in d))
     ints = [int(x * denom_lcm) for x in d]
     g = math.gcd(*ints)
@@ -118,6 +115,7 @@ def cartan_datum(matrix, symmetrizer=None, label=None) -> CartanDatum:
     """Build a validated CartanDatum from a matrix (any nested-int sequence)."""
     a = tuple(tuple(map(as_int, row)) for row in matrix)
     if symmetrizer is None:
+        _check_matrix(a, len(a))
         symmetrizer = _symmetrizer_from_matrix(a)
     return CartanDatum(len(a), a, tuple(map(as_int, symmetrizer)), label)
 

@@ -325,6 +325,14 @@ def test_cli_cartan_file_reads_ascii_integers(tmp_path, capsys, text, named):
     assert named in err
 
 
+def test_cli_refuses_a_ragged_cartan_file(tmp_path, capsys):
+    path = tmp_path / "ragged.txt"
+    path.write_text("2\n2\n-1 2\n")
+    code, out, err = run_cli(capsys, "table", "--group", str(path))
+    assert code == 2 and out == ""
+    assert "rank x rank" in err
+
+
 def test_demo_scripts_run(tmp_path):
     # each demo's stdout is pinned by its sha256 and byte count
     import hashlib

@@ -25,6 +25,8 @@ from qkline import (
 )
 from qkline.ktheory import SchubertExpansion
 from qkline.repring import parse_expression
+from qkline.rootsys import named_datum
+from qkline.weyl import WeylGroup
 
 
 def elt(engine, text):
@@ -274,12 +276,13 @@ def test_qk_constant_general_gate(engine):
 
 
 # Every public operation that takes points of W^P: its number of points, then
-# a call on A3 with the parabolic p and those points at k = 1.
+# a call on A3 with the parabolic p and those points at k = 1 (kgw3's third
+# point is the index of its class F).
 _POINT_OPERATIONS = {
     "curve_neighborhood": (1, lambda e, p, u: curve_neighborhood(e, "X", u, 1, p)),
     "projected_gw": (2, lambda e, p, u, v: projected_gw(e, u, v, 1, p)),
     "boundary_projected_gw": (2, lambda e, p, u, v: boundary_projected_gw(e, u, v, 1, p)),
-    "kgw3": (2, lambda e, p, u, v: kgw3(e, u, v, SchubertExpansion({e.W.identity: e.ring_one()}, p), 1, p)),
+    "kgw3": (3, lambda e, p, u, v, w: kgw3(e, u, v, SchubertExpansion({w: e.ring_one()}, p), 1, p)),
     "kgw2": (2, lambda e, p, z, w: kgw2(e, z, w, 1, p)),
     "qk_constant_kfree": (3, lambda e, p, u, v, w: qk_constant_kfree(e, u, v, w, 1, p)),
     "qk_constant_divided_difference": (3, lambda e, p, u, v, w: qk_constant_divided_difference(e, u, v, w, 1, p)),
@@ -296,9 +299,12 @@ _POINT_OPERATIONS = {
 def test_points_outside_wp_are_refused(engine, name):
     """On A3 with P = {3} and k = 1 the pair is k-free and admissible, and s3
     is not in W^P: in every point position it is refused with the ValueError
-    of require_wp, not with a GateError."""
+    of require_wp, not with a GateError.  The identity of a second Weyl group
+    of A3 is in no W^P of this engine's group: it is refused with
+    GroupMismatchError."""
     e = engine("A3")
     p = frozenset({3})
+    other = WeylGroup(named_datum("A3"))
     arity, call = _POINT_OPERATIONS[name]
     for i in range(arity):
         points = [e.W.identity] * arity
@@ -306,6 +312,20 @@ def test_points_outside_wp_are_refused(engine, name):
         with pytest.raises(ValueError, match=re.escape("3 is not a minimal representative for [3]")) as info:
             call(e, p, *points)
         assert not isinstance(info.value, GateError)
+        points[i] = other.identity
+        with pytest.raises(weyl.GroupMismatchError, match="is not in the Weyl group of A3"):
+            call(e, p, *points)
+
+
+def test_kgw3_refuses_a_class_index_outside_wp(engine):
+    """On A2 with P = {2} and k = 1 the pair is admissible but not k-free, and
+    s2 is not in W^P: O^{s2} is no class on G/P, so kgw3 refuses it instead
+    of pairing it on the k-free reduction G/B."""
+    e = engine("A2")
+    f = SchubertExpansion({e.W.simple(2): e.ring_one()}, frozenset({2}))
+    with pytest.raises(ValueError, match=re.escape("2 is not a minimal representative for [2]")) as info:
+        kgw3(e, e.W.identity, e.W.identity, f, 1, {2})
+    assert not isinstance(info.value, GateError)
 
 
 def test_qk_product_degree1_reference_row(engine):

@@ -179,6 +179,12 @@ def test_rejects_non_cartan_input():
         cartan_datum([[1]])
 
 
+def test_ragged_matrix_is_refused_for_its_shape():
+    # the shape is checked before the symmetrizer is solved, which indexes a[j][i]
+    with pytest.raises(CartanError, match="rank x rank"):
+        cartan_datum([[2], [-1, 2]])
+
+
 def test_named_type_errors():
     for bad in ("H3", "B1", "Q2", "E9", "", "A٣", "a٢", "C²"):
         with pytest.raises(CartanError):
