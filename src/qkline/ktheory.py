@@ -73,11 +73,16 @@ class KClass:
 
     def value(self, w: WeylElement) -> RingElt:
         """The value at any point of W: a class on G/P is read at the
-        minimal representative of w W_P."""
+        minimal representative of w W_P.  GroupMismatchError for a point of
+        another group than the Weyl group of the datum."""
         if self.parabolic:
             w = weyl.min_coset_rep(w, self.parabolic)
         got = self.restrictions.get(w)
-        return got if got is not None else RingElt.zero(self.datum.rank)
+        if got is not None:
+            return got
+        if w.group is not WeylGroup.for_datum(self.datum):
+            raise weyl.GroupMismatchError(f"{w!r} of {w.group.datum} is not in the Weyl group of {self.datum}")
+        return RingElt.zero(self.datum.rank)
 
 
 @dataclass(frozen=True)
@@ -89,8 +94,15 @@ class SchubertExpansion:
     parabolic: frozenset[int] = field(default_factory=frozenset)
 
     def coeff(self, w: WeylElement) -> RingElt:
+        """The coefficient of O^w, zero off the support; GroupMismatchError for
+        a w of another group than the indices (an empty expansion has none)."""
         got = self.coeffs.get(w)
-        return got if got is not None else RingElt.zero(w.group.rank)
+        if got is not None:
+            return got
+        group = next((x.group for x in self.coeffs), w.group)
+        if w.group is not group:
+            raise weyl.GroupMismatchError(f"{w!r} of {w.group.datum} is not in the Weyl group of {group.datum}")
+        return RingElt.zero(w.group.rank)
 
     def items_sorted(self):
         return sorted(self.coeffs.items(), key=lambda kv: kv[0].sort_key)
@@ -194,10 +206,10 @@ class KTEngine:
         pts = set(c.restrictions)
         pts |= {W.right_mult_gen(w, k) for w in pts}
         out = {}
-        one = self.ring_one()
+        one, zero, vals = self.ring_one(), self.ring_zero(), c.restrictions
         for w in pts:
             t = RingElt.monomial(self.rank, rootsys.alpha_to_omega(self.datum, w.table[k - 1]))  # e^{w(alpha_k)}
-            num = c.value(w) - t * c.value(W.right_mult_gen(w, k))
+            num = vals.get(w, zero) - t * vals.get(W.right_mult_gen(w, k), zero)
             if num:
                 out[w] = exact_divide(num, one - t)
         return KClass(self.datum, out)
@@ -335,13 +347,13 @@ class KTEngine:
         edge with a value at either end is tested once, from its shorter end
         when both carry values.  Checks classes on G/B."""
         self._require_on(c, frozenset(), "gkm_violations")
-        vals, graph = c.restrictions, self._moment_graph()
+        vals, graph, zero = c.restrictions, self._moment_graph(), self.ring_zero()
         bad = []
         for w in vals:
             for other, beta, lam in graph[w]:
                 if other in vals and other.length < w.length:
                     continue
-                diff = vals[w] - c.value(other)
+                diff = vals[w] - vals.get(other, zero)
                 if diff and not repring.divides_one_minus_e(diff, lam):
                     bad.append((w, beta))
                     if len(bad) >= 4:

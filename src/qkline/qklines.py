@@ -30,7 +30,8 @@ P_k fails (the comparison map of moduli spaces is not surjective), so every
 operation below refuses such input rather than extrapolate.  The same gate
 checks that every index the operation takes, those of kgw3's F included, is
 in the engine's own Weyl group and in W^P: each statement holds only for
-minimal coset representatives.
+minimal coset representatives.  Every call path decides this once: a public
+operation gates, then calls ``_pairing`` or ``_fibre_sums``, which check nothing.
 """
 
 from __future__ import annotations
@@ -49,11 +50,10 @@ class GateError(ValueError):
     """A quantum operation was invoked outside its proven hypotheses."""
 
 
-def _gate(engine: KTEngine, p, k, *points, k_free=False, f=None):
+def _gate(engine: KTEngine, p, k, *points, k_free=False):
     """(P, P_k) once (P, alpha_k) is admissible, or k-free if ``k_free`` (then
     P_k = P): a GateError for the hypothesis, then per point GroupMismatchError
-    outside the engine's group and require_wp's ValueError outside W^P; for
-    kgw3's class ``f``, a ValueError off G/P, then the same for its indices."""
+    outside the engine's group and require_wp's ValueError outside W^P."""
     datum = engine.datum
     p = weyl.normalize_parabolic(datum, p)
     if k_free and not weyl.is_k_free(datum, p, k):
@@ -71,13 +71,24 @@ def _gate(engine: KTEngine, p, k, *points, k_free=False, f=None):
     for x in points:
         engine._require_element(x)
         require_wp(x, p)
-    if f is not None:
-        if f.parabolic != p:
-            raise ValueError(f"kgw3 on G/P for P = {sorted(p)} takes a class on it, not on P = {sorted(f.parabolic)}")
-        for x in f.coeffs:
-            engine._require_element(x)
-            require_wp(x, p)
     return p, weyl.build_Pk(datum, p, k)
+
+
+def _pairing(engine: KTEngine, u, v, w, k, pk) -> RingElt:
+    """The pairing against O^w: sum_x c_{u_k,v_k}^x chi(O^x . O^w) on G/P_k."""
+    total = engine.ring_zero()
+    for x, cx in engine.structure_constants(hecke_down(u, k), hecke_down(v, k), pk).coeffs.items():
+        total = total + cx * engine.euler_characteristic(engine.structure_constants(x, w, pk))
+    return total
+
+
+def _fibre_sums(engine: KTEngine, u, v, k, p, pk) -> dict[WeylElement, RingElt]:
+    """quantum_coefficients' two coset-fibre sums, for (P, P_k) from a gate."""
+    up = engine.structure_constants(hecke_down(u, k), hecke_down(v, k), pk)
+    acc = engine.pushforward(up, p).coeffs  # a fresh dict, owned here
+    for b, cf in engine.structure_constants(u, v, p).coeffs.items():
+        repring.accumulate(acc, min_coset_rep(hecke_down(b, k), p), -cf)
+    return acc
 
 
 # -- line neighborhoods and Richardson descriptors ------------------------------
@@ -145,14 +156,12 @@ def boundary_projected_gw(engine: KTEngine, u: WeylElement, v: WeylElement, k: i
 
 def kgw3(engine: KTEngine, u: WeylElement, v: WeylElement, f: SchubertExpansion, k: int, p=()) -> RingElt:
     """Three-point degree-eps_k invariant against F = sum_w f_w O^w on the
-    same quotient: the module docstring's pairing, on the k-free reduction
-    G/P_k, where F's pullback has the same indices and coefficients."""
-    _, pk = _gate(engine, p, k, u, v, f=f)
-    total = engine.ring_zero()
-    for x, cx in engine.structure_constants(hecke_down(u, k), hecke_down(v, k), pk).coeffs.items():
-        for w, fw in f.coeffs.items():
-            total = total + cx * fw * engine.euler_characteristic(engine.structure_constants(x, w, pk))
-    return total
+    same quotient, F's indices gated with u and v: sum_w f_w times the pairing
+    on the k-free reduction G/P_k, where F's pullback has the same indices."""
+    p, pk = _gate(engine, p, k, u, v, *f.coeffs)
+    if f.parabolic != p:
+        raise ValueError(f"kgw3 on G/P for P = {sorted(p)} takes a class on it, not on P = {sorted(f.parabolic)}")
+    return sum((fw * _pairing(engine, u, v, w, k, pk) for w, fw in f.coeffs.items()), engine.ring_zero())
 
 
 def kgw2(engine: KTEngine, z: WeylElement, w: WeylElement, k: int, p=()) -> RingElt:
@@ -188,18 +197,14 @@ def quantum_coefficients(engine: KTEngine, u, v, k, p=()) -> dict[WeylElement, R
     """All degree-eps_k constants N_{u,v}^{.,k} at once, by the two
     coset-fibre sums: a over W^{P_k}, b over the constants of G/P."""
     p, pk = _gate(engine, p, k, u, v)
-    up = engine.structure_constants(hecke_down(u, k), hecke_down(v, k), pk)
-    acc = engine.pushforward(up, p).coeffs  # a fresh dict, owned here
-    for b, cf in engine.structure_constants(u, v, p).coeffs.items():
-        repring.accumulate(acc, min_coset_rep(hecke_down(b, k), p), -cf)
-    return acc
+    return _fibre_sums(engine, u, v, k, p, pk)
 
 
 def qk_constant_general(engine: KTEngine, u, v, w, k, p=()) -> RingElt:
     """Quantum constant for any admissible pair; agrees with the k-free
     formula whenever that one applies."""
-    p, _ = _gate(engine, p, k, w)
-    return quantum_coefficients(engine, u, v, k, p).get(w, engine.ring_zero())
+    p, pk = _gate(engine, p, k, u, v, w)
+    return _fibre_sums(engine, u, v, k, p, pk).get(w, engine.ring_zero())
 
 
 @dataclass(frozen=True)
@@ -216,8 +221,8 @@ class QKProduct:
 
 def qk_product_degree1(engine: KTEngine, u, v, p=()) -> QKProduct:
     """Classical expansion plus, for every admissible node k outside the
-    parabolic, the q_k-linear coefficients.  Non-admissible nodes are
-    skipped and recorded."""
+    parabolic, the q_k-linear coefficients.  Nodes the gate refuses are
+    skipped and recorded; the classical call checks u and v."""
     p = weyl.normalize_parabolic(engine.datum, p)
     classical = engine.structure_constants(u, v, p)
     quantum: dict[int, SchubertExpansion] = {}
@@ -225,10 +230,10 @@ def qk_product_degree1(engine: KTEngine, u, v, p=()) -> QKProduct:
     for k in range(1, engine.rank + 1):
         if k in p:
             continue
-        if not weyl.in_class_P(engine.datum, p, k):
+        try:
+            quantum[k] = SchubertExpansion(quantum_coefficients(engine, u, v, k, p), p)
+        except GateError:
             skipped.append(k)
-            continue
-        quantum[k] = SchubertExpansion(quantum_coefficients(engine, u, v, k, p), p)
     return QKProduct(u, v, classical, quantum, tuple(skipped))
 
 
@@ -286,40 +291,35 @@ def _report(check, engine: KTEngine, p, k, witnesses, details) -> CheckReport:
 def vanishing_check(engine: KTEngine, p, k) -> CheckReport:
     """All constants N_{u,v}^{.,k} vanish when u or v is already Hecke-fixed
     at k; sweeps every such pair of minimal representatives."""
-    p, _ = _gate(engine, p, k)
+    p, pk = _gate(engine, p, k)
     reps = weyl.enumerate_wp(engine.W, p)
-    pairs = [
-        (u, v)
-        for u in reps
-        for v in reps
-        if hecke_down(u, k) is u or hecke_down(v, k) is v
-    ]
+    pairs = [(u, v) for u in reps for v in reps if hecke_down(u, k) is u or hecke_down(v, k) is v]
     witnesses = [
         (u.word_str, v.word_str, w.word_str, repr(val))
         for u, v in pairs
-        for w, val in quantum_coefficients(engine, u, v, k, p).items()
+        for w, val in _fibre_sums(engine, u, v, k, p, pk).items()
     ]
     return _report("vanishing", engine, p, k, witnesses, {"pairs_checked": len(pairs)})
 
 
-def _signed_constants(engine: KTEngine, p, k):
+def _signed_constants(engine: KTEngine, k, p, pk):
     """(u, v, w, N_{u,v}^{w,k}, (-1)^{l(u)+l(v)-l(w)}) for every pair u <= v
     of minimal representatives and every w in the support."""
     reps = weyl.enumerate_wp(engine.W, p)
     for i, u in enumerate(reps):
         for v in reps[i:]:
-            for w, val in quantum_coefficients(engine, u, v, k, p).items():
+            for w, val in _fibre_sums(engine, u, v, k, p, pk).items():
                 yield u, v, w, val, -1 if (u.length + v.length - w.length) % 2 else 1
 
 
 def sign_check(engine: KTEngine, p, k) -> CheckReport:
     """Alternation of the nonequivariant constants for a k-free parabolic,
     with the quantum-parameter degree equal to 2."""
-    p, _ = _gate(engine, p, k, k_free=True)
+    p, pk = _gate(engine, p, k, k_free=True)
     n = len(weyl.enumerate_wp(engine.W, p))
     witnesses = [
         (u.word_str, v.word_str, w.word_str, str(val.specialize_to_one()))
-        for u, v, w, val, sign in _signed_constants(engine, p, k)
+        for u, v, w, val, sign in _signed_constants(engine, k, p, pk)
         if sign * val.specialize_to_one() < 0
     ]
     return _report("sign", engine, p, k, witnesses, {"pairs_checked": n * (n + 1) // 2})
@@ -329,10 +329,10 @@ def equivariant_positivity_diagnostic(engine: KTEngine, p, k) -> CheckReport:
     """Conjectural refinement: sign-adjusted constants should have
     nonnegative coefficients in the shifted variables e^{-alpha_i} - 1
     restricted to nodes outside the parabolic.  Reported, never failed."""
-    p, _ = _gate(engine, p, k, k_free=True)
+    p, pk = _gate(engine, p, k, k_free=True)
     conforming = 0
     nonconforming = []
-    for u, v, w, val, sign in _signed_constants(engine, p, k):
+    for u, v, w, val, sign in _signed_constants(engine, k, p, pk):
         try:
             poly = repring.rewrite_in_shifted_basis(val * sign, engine.datum)
         except repring.NotInSubring:
@@ -350,16 +350,13 @@ def equivariant_positivity_diagnostic(engine: KTEngine, p, k) -> CheckReport:
 
 def peterson_check(engine: KTEngine, p, k, u, v, w) -> CheckReport:
     """Quotient-to-full-flag comparison of kgw3 against O^w on G/P, O^w on G/B
-    and O^{w w_{P_k}} on G/B: one pairing, on G/P_k once and on G/B twice, not
-    independent code paths.  With P_k empty the three are one sum computed three
-    times and the check cannot fail: A3/{1,3} at k = 2, A3/{2} at both nodes."""
+    and O^{w w_{P_k}} on G/B: one gate, then one pairing on G/P_k once and on G/B
+    twice.  With P_k empty the three are one sum computed three times and the
+    check cannot fail: A3/{1,3} at k = 2, A3/{2} at both nodes."""
     p, pk = _gate(engine, p, k, u, v, w)
-    one = engine.ring_one()
-    lhs = kgw3(engine, u, v, SchubertExpansion({w: one}, p), k, p)
-    borel = frozenset()
-    mid = kgw3(engine, u, v, SchubertExpansion({w: one}, borel), k, borel)
-    twisted = w * weyl.longest_element(engine.W, pk)
-    rhs = kgw3(engine, u, v, SchubertExpansion({twisted: one}, borel), k, borel)
+    lhs = _pairing(engine, u, v, w, k, pk)
+    mid = _pairing(engine, u, v, w, k, frozenset())  # G/B is its own k-free reduction
+    rhs = _pairing(engine, u, v, w * weyl.longest_element(engine.W, pk), k, frozenset())
     ok = lhs == mid == rhs
     witnesses = [] if ok else [(u.word_str, v.word_str, w.word_str, repr(lhs), repr(mid), repr(rhs))]
     return _report("peterson", engine, p, k, witnesses, {"u": u.word_str, "v": v.word_str, "w": w.word_str})
@@ -368,7 +365,7 @@ def peterson_check(engine: KTEngine, p, k, u, v, w) -> CheckReport:
 def peterson_sweep(engine: KTEngine, p, k) -> list[CheckReport]:
     """peterson_check on every triple of minimal representatives: the reports
     of the failing triples, then one summary counting the triples."""
-    p, _ = _gate(engine, p, k)
+    p = weyl.normalize_parabolic(engine.datum, p)
     reps = weyl.enumerate_wp(engine.W, p)
     reports = []
     for u, v, w in itertools.product(reps, repeat=3):

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from qkline import ExpansionError, KTEngine, named_datum, repring, weyl
-from qkline.ktheory import KClass
+from qkline.ktheory import KClass, SchubertExpansion
 from qkline.repring import RingElt, parse_expression
 from qkline.rootsys import alpha_to_omega, positive_roots, reflect
 
@@ -514,6 +514,31 @@ def test_a_weyl_element_of_another_group_is_refused(engine):
         e.schubert_class(s1)
     with pytest.raises(weyl.GroupMismatchError):
         e.structure_constants(s1, s1)
+
+
+def test_readers_refuse_an_element_of_another_group(engine):
+    """An index or point of a second Weyl group of A2, or of B2, is refused
+    by SchubertExpansion.coeff and KClass.value, not read as zero; the
+    engine's own element reads the stored value."""
+    e = engine("A2")
+    s1 = e.W.simple(1)
+    consts, cls = e.structure_constants(s1, s1), e.schubert_class(s1)
+    for group in (weyl.WeylGroup(named_datum("A2")), engine("B2").W):
+        mine, foreign = e.W.parse_word("21"), group.parse_word("21")
+        assert consts.coeff(mine) == consts.coeffs[mine] != e.ring_zero()
+        assert cls.value(mine) == cls.restrictions[mine] != e.ring_zero()
+        with pytest.raises(weyl.GroupMismatchError, match="is not in the Weyl group of A2"):
+            consts.coeff(foreign)
+        with pytest.raises(weyl.GroupMismatchError, match="is not in the Weyl group of A2"):
+            cls.value(foreign)
+        with pytest.raises(weyl.GroupMismatchError, match="is not in the Weyl group of A2"):
+            e.schubert_class(s1, {2}).value(foreign)
+
+
+def test_an_empty_expansion_reads_zero_at_any_element(engine):
+    e = engine("A2")
+    w = weyl.WeylGroup(named_datum("A2")).parse_word("21")
+    assert SchubertExpansion({}).coeff(w) == e.ring_zero()
 
 
 @pytest.mark.parametrize("k", [0, -1, 3])

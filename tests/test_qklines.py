@@ -317,6 +317,53 @@ def test_points_outside_wp_are_refused(engine, name):
             call(e, p, *points)
 
 
+def _count_gates(monkeypatch):
+    from qkline import qklines
+
+    calls = []
+    real = qklines._gate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qklines, "_gate", counted)
+    return calls
+
+
+# operations that decide more or fewer hypotheses than one on A3/{3} at k = 1
+_GATE_CALLS = {"cor_xi_sum": 2, "qk_product_degree1": 2, "KTEngine.structure_constants": 0}
+
+
+@pytest.mark.parametrize("name", sorted(_POINT_OPERATIONS))
+def test_each_operation_decides_its_hypothesis_once(engine, monkeypatch, name):
+    """On A3 with P = {3} and k = 1 each operation calls the gate once, and no
+    operation it calls decides the same hypothesis again.  cor_xi_sum decides
+    two (P admissible, Q k-free), qk_product_degree1 one per node outside P
+    and the classical structure constants none."""
+    e = engine("A3")
+    calls = _count_gates(monkeypatch)
+    arity, call = _POINT_OPERATIONS[name]
+    call(e, frozenset({3}), *[e.W.simple(1)] * arity)
+    assert len(calls) == _GATE_CALLS.get(name, 1)
+
+
+@pytest.mark.parametrize("sweep", [vanishing_check, sign_check, equivariant_positivity_diagnostic])
+def test_each_pair_sweep_gates_once(engine, monkeypatch, sweep):
+    calls = _count_gates(monkeypatch)
+    sweep(engine("A3"), {3}, 1)
+    assert len(calls) == 1
+
+
+def test_peterson_sweep_gates_once_per_triple(engine, monkeypatch):
+    from qkline import qklines
+
+    e = engine("A3")
+    calls = _count_gates(monkeypatch)
+    qklines.peterson_sweep(e, {3}, 1)
+    assert len(calls) == len(weyl.enumerate_wp(e.W, {3})) ** 3
+
+
 def test_kgw3_refuses_a_class_index_outside_wp(engine):
     """On A2 with P = {2} and k = 1 the pair is admissible but not k-free, and
     s2 is not in W^P: O^{s2} is no class on G/P, so kgw3 refuses it instead
