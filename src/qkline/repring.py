@@ -109,9 +109,10 @@ class RingElt:
     @staticmethod
     def monomial(rank: int, coords, coeff: int = 1) -> "RingElt":
         key = _pack(rank, tuple(coords))
+        coeff = rootsys.as_int(coeff)
         if coeff == 0:
             return RingElt(rank, {}, 0)
-        return RingElt(rank, {key: rootsys.as_int(coeff)}, max(map(abs, coords), default=0))
+        return RingElt(rank, {key: coeff}, max(map(abs, coords), default=0))
 
     @staticmethod
     def from_terms(rank: int, items) -> "RingElt":
@@ -355,8 +356,9 @@ def exact_divide(a: RingElt, b: RingElt) -> RingElt:
 
 def divides_one_minus_e(a: RingElt, beta_weight_coords) -> bool:
     """Divisibility by 1 - e^beta: the coefficient sums over every coset
-    modulo Z*beta vanish.  Each exponent moves to the coset's member whose
-    coordinate j, the first nonzero one of beta, lies between 0 and beta_j."""
+    modulo Z*beta vanish.  Each exponent (a packed key, or a tuple at a field's
+    edge) moves to the coset's member whose coordinate j, the first nonzero one
+    of beta, lies between 0 and beta_j."""
     beta = tuple(beta_weight_coords)
     if len(beta) != a.rank:
         raise ValueError(f"root {beta} does not have length {a.rank}, the rank")
@@ -364,14 +366,13 @@ def divides_one_minus_e(a: RingElt, beta_weight_coords) -> bool:
     if j is None:
         raise ZeroDivisionError("division by the zero ring element")
     if a._bound * (1 + max(map(abs, beta))) >= _COORD_OFF:
-        try:
-            exact_divide(a, RingElt.one(a.rank) - RingElt.monomial(a.rank, beta))
-            return True
-        except NotDivisible:
-            return False
-    shifts, _, key0, _ = _codec(a.rank)
-    sums: dict[int, int] = {}
-    for key, c in _moved_terms(a, shifts[j], beta[j], _pack(a.rank, beta) - key0):
+        lams = ((_unpack(a.rank, key), c) for key, c in a._terms.items())
+        moved = ((tuple(x - lam[j] // beta[j] * b for x, b in zip(lam, beta)), c) for lam, c in lams)
+    else:
+        shifts, _, key0, _ = _codec(a.rank)
+        moved = _moved_terms(a, shifts[j], beta[j], _pack(a.rank, beta) - key0)
+    sums: dict = {}
+    for key, c in moved:
         sums[key] = sums.get(key, 0) + c
     return not any(sums.values())
 

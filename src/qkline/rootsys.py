@@ -231,7 +231,7 @@ def resolve_group(name: str) -> CartanDatum:
 # -- queries -----------------------------------------------------------------
 
 def check_index(datum: CartanDatum, i: int):
-    if not 1 <= i <= datum.rank:
+    if not 1 <= as_int(i) <= datum.rank:
         raise IndexError(f"node index {i} out of range 1..{datum.rank}")
 
 
@@ -267,7 +267,7 @@ def is_long(datum: CartanDatum, i: int) -> bool:
 
 def simple_root(datum: CartanDatum, i: int) -> tuple[int, ...]:
     check_index(datum, i)
-    return tuple(1 if j == i - 1 else 0 for j in range(datum.rank))
+    return (0,) * (i - 1) + (1,) + (0,) * (datum.rank - i)
 
 
 def check_coords(datum: CartanDatum, coords):
@@ -331,10 +331,12 @@ def reflect(datum: CartanDatum, i: int, lam) -> tuple[int, ...]:
 
 
 def reflect_root_coords(datum: CartanDatum, i: int, coords) -> tuple[int, ...]:
-    """s_i on simple-root coordinates: subtract (row i of A) . c times e_i."""
+    """s_i on simple-root coordinates: subtract (row i of A) . c from c_i."""
     check_index(datum, i)
-    pair = sum(datum.cartan[i - 1][j] * coords[j] for j in range(datum.rank))
-    return tuple(c - pair if j == i - 1 else c for j, c in enumerate(coords))
+    check_coords(datum, coords)
+    out = list(coords)
+    out[i - 1] -= sum(map(operator.mul, datum.cartan[i - 1], coords))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -12,10 +12,10 @@ identity; from rank 10 on, letters are separated by spaces, as in
 ``"1 10 9"``.  The canonical emitted word is the lexicographically minimal
 reduced word.
 
-Immutability: elements never change after interning.  The memo caches
-(the element list, coset enumerations) only ever grow, and a recomputed
-entry is identical to the cached one, so concurrent readers are safe;
-writers at worst repeat work.
+Immutability: elements never change after interning.  The memo cache of
+coset enumerations (W itself is the one for P empty) only ever grows, and a
+recomputed entry is identical to the cached one, so concurrent readers are
+safe; writers at worst repeat work.
 """
 
 from __future__ import annotations
@@ -27,12 +27,13 @@ from . import rootsys
 from .rootsys import CartanDatum, parse_digits
 
 
-# Largest |W| that WeylGroup.elements() enumerates.  A Schubert class on G/B
+# Largest |W| whose quotients enumerate_wp enumerates.  A Schubert class on G/B
 # is a function on all of W, so the classes of a group this size already hold
-# millions of ring elements, and enumerate_wp finds W^P by filtering W, so
-# this also bounds every quotient.  The demos and the benchmark enumerate at most
-# D4 (192), the tests D5 (1,920); A6 (5,040) still fits, while A7 (40,320),
-# E6 (51,840) and E8 (696,729,600) are refused.
+# millions of ring elements.  The walk up W^P never builds W, but the test is
+# still on |W|, so every quotient of a larger group is refused as well.  The
+# demos and the benchmark enumerate at most D4 (192), the tests D5 (1,920);
+# A6 (5,040) still fits, while A7 (40,320), E6 (51,840) and E8 (696,729,600)
+# are refused.
 MAX_ELEMENTS = 10_000
 
 
@@ -145,7 +146,6 @@ class WeylGroup:
         self.rank = datum.rank
         self.positive_root_coords = rootsys.positive_roots(datum)
         self._intern: dict[tuple, WeylElement] = {}
-        self._elements: tuple[WeylElement, ...] | None = None
         self._wp: dict[frozenset[int], tuple[WeylElement, ...]] = {}
         n = datum.rank
         self.identity = self.intern(tuple(tuple(1 if i == j else 0 for i in range(n)) for j in range(n)))
@@ -224,28 +224,8 @@ class WeylGroup:
         return " ".join(str(k) for k in w.word)
 
     def elements(self) -> tuple[WeylElement, ...]:
-        """All of W, sorted by (length, lex-minimal word); a group with more
-        than MAX_ELEMENTS elements raises ValueError instead."""
-        if self._elements is None:
-            if self.order > MAX_ELEMENTS:
-                raise ValueError(
-                    f"the Weyl group of {self.datum} has {self.order:,} elements, "
-                    f"more than the {MAX_ELEMENTS:,} this engine enumerates"
-                )
-            seen = {self.identity}
-            frontier = [self.identity]
-            while frontier:
-                nxt = []
-                for w in frontier:
-                    for k in range(1, self.rank + 1):
-                        if not w.has_right_descent(k):
-                            u = self.right_mult_gen(w, k)
-                            if u not in seen:
-                                seen.add(u)
-                                nxt.append(u)
-                frontier = nxt
-            self._elements = tuple(sorted(seen, key=lambda w: w.sort_key))
-        return self._elements
+        """All of W, sorted by (length, lex-minimal word): W^P for P empty."""
+        return enumerate_wp(self, ())
 
     @property
     def order(self) -> int:
@@ -312,11 +292,27 @@ def min_coset_rep(w: WeylElement, p) -> WeylElement:
 
 
 def enumerate_wp(group: WeylGroup, p) -> tuple[WeylElement, ...]:
-    """All minimal coset representatives W^P, sorted by (length, word), memoised per P."""
+    """All minimal coset representatives W^P, sorted by (length, word), memoised
+    per P; a group with more than MAX_ELEMENTS elements raises ValueError.
+
+    W^P is walked up from the identity one length at a time without building W:
+    if y in W^P and s_k y < y then s_k y in W^P, so every element of length
+    n + 1 is s_k x for an x of length n that has no left descent at k."""
     p = normalize_parabolic(group.datum, p)
     got = group._wp.get(p)
     if got is None:
-        got = group._wp.setdefault(p, tuple(w for w in group.elements() if in_wp(w, p)))
+        if group.order > MAX_ELEMENTS:
+            raise ValueError(
+                f"the Weyl group of {group.datum} has {group.order:,} elements, "
+                f"more than the {MAX_ELEMENTS:,} this engine enumerates"
+            )
+        ks, level = range(1, group.rank + 1), [group.identity]
+        found = list(level)
+        while level:
+            up = {group.left_mult_gen(k, x) for x in level for k in ks if not x.has_left_descent(k)}
+            level = sorted((y for y in up if in_wp(y, p)), key=lambda w: w.sort_key)
+            found += level
+        got = group._wp.setdefault(p, tuple(found))
     return got
 
 

@@ -256,6 +256,7 @@ def test_serialization_roundtrip_and_order():
     "build, named",
     [
         (lambda: RingElt.monomial(2, (0, 0), 2.5), "2.5"),
+        (lambda: RingElt.monomial(2, (0, 0), 0.0), "0.0"),
         (lambda: RingElt.from_terms(2, [((0, 0), 2.9)]), "2.9"),
         (lambda: from_pairs(A2, [[[1.9, 0], 1]]), "1.9"),
         (lambda: from_pairs(A2, [[[1, 0], 1.5]]), "1.5"),
@@ -469,6 +470,17 @@ def test_divides_one_minus_e_at_the_field_edge_on_rank_4(a, beta, expected):
     # different cosets modulo Z*beta, yet their moved packed keys coincide, so a packed sum would
     # cancel them; only the exact_divide route above the bound answers it
     assert repring.divides_one_minus_e(a, beta) is expected
+
+
+def test_divides_one_minus_e_at_the_field_edge_needs_no_division(monkeypatch):
+    # beta = alpha_1 of A2; 1 - e^{2**21 beta} is divisible, with a quotient of 2**21 terms
+    def refuse(*_):
+        raise AssertionError("exact_divide called")
+
+    monkeypatch.setattr(repring, "exact_divide", refuse)
+    a = RingElt.one(2) - RingElt.monomial(2, (2**22, -(2**21)))
+    assert repring.divides_one_minus_e(a, (2, -1)) is True
+    assert repring.divides_one_minus_e(a - RingElt.monomial(2, (1, 0)), (2, -1)) is False
 
 
 @pytest.mark.parametrize(

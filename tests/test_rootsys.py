@@ -112,6 +112,7 @@ def test_conversions_refuse_coordinates_of_the_wrong_length(convert, coords):
         pytest.param(lambda d, c: WeylGroup.for_datum(d).simple(1).apply_to_root(c), (1,), None, id="apply_to_root"),
         pytest.param(lambda d, c: rootsys.root_pairing(d, c, (1, 0)), (1, 0, 7), None, id="root_pairing-gamma"),
         pytest.param(lambda d, c: rootsys.root_pairing(d, (1, 0), c), (1,), None, id="root_pairing-beta"),
+        pytest.param(lambda d, c: rootsys.reflect_root_coords(d, 1, c), (1, 0, 5), None, id="reflect_root_coords"),
     ],
 )
 def test_coordinate_readers_refuse_tuples_of_the_wrong_length(read, coords, match):

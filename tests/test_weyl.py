@@ -14,6 +14,7 @@ from qkline.weyl import (
     hecke_down,
     hecke_up,
     in_class_P,
+    in_wp,
     is_k_free,
     longest_element,
     min_coset_rep,
@@ -52,7 +53,7 @@ def test_order_from_root_heights_without_enumeration():
     for label in ("A1", "A4", "B4", "C3", "D5", "F4", "G2"):
         W = WeylGroup(named_datum(label))  # a fresh group: nothing enumerated yet
         order = W.order
-        assert W._elements is None
+        assert not W._wp
         assert order == len(W.elements())
     assert group("E6").order == 51_840
     assert group("E8").order == 696_729_600
@@ -62,6 +63,8 @@ def test_elements_refuses_groups_too_large_to_enumerate():
     assert 192 <= weyl.MAX_ELEMENTS < 51_840  # D4 (benchmark) fits, E6 does not
     with pytest.raises(ValueError, match="696,729,600 elements"):
         WeylGroup(named_datum("E8")).elements()
+    with pytest.raises(ValueError, match="696,729,600 elements"):
+        enumerate_wp(WeylGroup(named_datum("E8")), range(2, 9))  # the walk would not build W, but |W| gates it
 
 
 def test_length_equals_word_length():
@@ -91,6 +94,13 @@ def test_node_indices_below_one_are_refused(name, k):
     # Python's negative indexing read node 0 as node r and node -1 as node r - 1
     with pytest.raises(IndexError, match=f"node index {k} out of range"):
         _INDEXED_CALLS[name](group("A2"), k)
+
+
+@pytest.mark.parametrize("name", sorted(_INDEXED_CALLS))
+def test_node_indices_that_are_not_integers_are_refused(name):
+    # 1.5 was read as no node by simple_root and has_left_descent, and indexed a tuple elsewhere
+    with pytest.raises(TypeError, match="1.5 is not an integer"):
+        _INDEXED_CALLS[name](group("A2"), 1.5)
 
 
 def test_word_parsing_forms():
@@ -226,6 +236,25 @@ def test_enumerate_wp_is_memoised_per_parabolic():
     assert enumerate_wp(W, [3, 1]) is reps
     assert enumerate_wp(W, ()) is enumerate_wp(W, frozenset())
     assert enumerate_wp(W, {2}) is not reps
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2"])
+def test_walk_up_wp_matches_filtering_w(label):
+    W = WeylGroup(named_datum(label))
+    closure = frontier = {W.identity}  # W as the closure under right multiplication
+    while frontier:
+        frontier = {W.right_mult_gen(w, k) for w in frontier for k in range(1, W.rank + 1)} - closure
+        closure = closure | frontier
+    assert W.elements() == tuple(sorted(closure, key=lambda w: w.sort_key))
+    for r in range(W.rank + 1):
+        for p in itertools.combinations(range(1, W.rank + 1), r):
+            assert enumerate_wp(W, p) == tuple(w for w in W.elements() if in_wp(w, p))
+
+
+def test_enumerate_wp_does_not_build_w():
+    W = WeylGroup(named_datum("D5"))  # a fresh group: nothing interned beyond the generators
+    assert len(enumerate_wp(W, {2, 3, 4, 5})) == 10
+    assert len(W._intern) < W.order == 1_920
 
 
 def test_wp_size_divides_group_order():
