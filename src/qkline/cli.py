@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import golden, qklines, repring, rootsys, weyl
@@ -35,15 +36,21 @@ def _engine(group: str) -> KTEngine:
     return KTEngine(rootsys.resolve_group(group))
 
 
+def _sub(index) -> str:
+    """A LaTeX subscript: one digit bare, two or more braced."""
+    index = str(index)
+    return index if len(index) == 1 else "{" + index + "}"
+
+
 def _latex_elt(value: RingElt, datum) -> str:
-    text = repring.format_elt(value, datum)
-    return text.replace("a", "\\alpha_").replace("w", "\\omega_")
+    names = {"a": "\\alpha_", "w": "\\omega_"}
+    return re.sub(r"([aw])(\d+)", lambda m: names[m[1]] + _sub(m[2]), repring.format_elt(value, datum))
 
 
-def _latex_class(word: str) -> str:
-    if word == "e":
+def _latex_class(w) -> str:
+    if not w.word:
         return "{\\mathcal O}^{id}"
-    return "{\\mathcal O}^{s_" + "s_".join(word) + "}"
+    return "{\\mathcal O}^{" + "".join("s_" + _sub(k) for k in w.word) + "}"
 
 
 def _coeff_wrap(text: str) -> str:
@@ -129,12 +136,12 @@ def _table_latex(engine, products) -> str:
     for prod in products:
         terms = []
         for k, w, c in _terms(prod):
-            q = "" if k is None else f"q_{k}"
-            cls = "" if q and w is engine.W.identity else _latex_class(w.word_str)  # a bare q_k for O^{id}
+            q = "" if k is None else "q_" + _sub(k)
+            cls = "" if q and w is engine.W.identity else _latex_class(w)  # a bare q_k for O^{id}
             terms.append(_coeff_wrap(_latex_elt(c, datum)) + q + cls)
         rhs = "+".join(terms) if terms else "0"
         rows.append(
-            f"  {_latex_class(prod.u.word_str)}\\circ {_latex_class(prod.v.word_str)} &\\equiv {rhs}\\\\"
+            f"  {_latex_class(prod.u)}\\circ {_latex_class(prod.v)} &\\equiv {rhs}\\\\"
         )
     return "\\begin{align*}\n" + "\n".join(rows) + "\n\\end{align*}\n"
 

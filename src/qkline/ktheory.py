@@ -116,7 +116,6 @@ class KTEngine:
         self.rank = datum.rank
         self.W = WeylGroup.for_datum(datum)
         self._schubert: dict[tuple, KClass] = {}
-        self._opposite: dict[WeylElement, KClass] = {}
         self._constants: dict[tuple, SchubertExpansion] = {}
         self._edges: dict[WeylElement, list[tuple]] | None = None
 
@@ -135,6 +134,7 @@ class KTEngine:
 
     def diagonal_value(self, v: WeylElement) -> RingElt:
         """prod (1 - e^{-beta}) over inversions; the value O^v|_v."""
+        self._require_element(v)
         out = self.ring_one()
         for beta in v.inversions:
             out = out * self._one_minus_e(tuple(-x for x in rootsys.alpha_to_omega(self.datum, beta)))
@@ -188,14 +188,9 @@ class KTEngine:
     def opposite_schubert_class(self, w: WeylElement) -> KClass:
         """O_w, defined from O^{w_0 w} by the symmetry twisting both the point
         and the coefficients by w_0."""
-        got = self._opposite.get(w)
-        if got is not None:
-            return got
         w0 = self.W.longest()
         up = self.schubert_class(w0 * w)
-        cls = KClass(self.datum, {w0 * x: repring.weyl_act(w0, val) for x, val in up.restrictions.items()})
-        self._opposite[w] = cls
-        return cls
+        return KClass(self.datum, {w0 * x: repring.weyl_act(w0, val) for x, val in up.restrictions.items()})
 
     def demazure(self, c: KClass, k: int) -> KClass:
         """The moment-graph form of the degree-lowering operator along edges
@@ -203,8 +198,8 @@ class KTEngine:
         rootsys.check_index(self.datum, k)
         self._require_on(c, frozenset(), "demazure")
         W = self.W
-        pts = set(c.restrictions)
-        pts |= {W.right_mult_gen(w, k) for w in pts}
+        pts = dict.fromkeys(c.restrictions)  # insertion-ordered, so the output never follows addresses
+        pts.update(dict.fromkeys(W.right_mult_gen(w, k) for w in c.restrictions))
         out = {}
         one, zero, vals = self.ring_one(), self.ring_zero(), c.restrictions
         for w in pts:
@@ -287,6 +282,8 @@ class KTEngine:
     def divided_difference(self, e: SchubertExpansion, k: int, opposite: bool = False) -> SchubertExpansion:
         """Coefficientwise Hecke move of the basis indices: O^w -> O^{w_k}
         (or O_w -> O_{w^k} on the opposite basis)."""
+        for w in e.coeffs:
+            self._require_element(w)
         if not weyl.is_k_free(self.datum, e.parabolic, k):
             raise ValueError(f"divided difference needs a k-free parabolic (k={k})")
         move = weyl.hecke_up if opposite else weyl.hecke_down

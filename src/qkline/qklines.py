@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from . import repring, weyl
 from .ktheory import KTEngine, SchubertExpansion
@@ -266,18 +266,11 @@ class CheckReport:
         return self.status != "fail"
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "check": self.check,
-                "group": self.group,
-                "parabolic": list(self.parabolic),
-                "k": self.k,
-                "status": self.status,
-                "witnesses": [list(map(str, w)) for w in self.witnesses],
-                **({"details": self.details} if self.details else {}),
-            },
-            sort_keys=True,
-        )
+        out = asdict(self)
+        out["witnesses"] = [list(map(str, w)) for w in self.witnesses]
+        if not self.details:
+            del out["details"]
+        return json.dumps(out, sort_keys=True)
 
 
 def _report(check, engine: KTEngine, p, k, witnesses, details) -> CheckReport:

@@ -339,7 +339,6 @@ def reflect_root_coords(datum: CartanDatum, i: int, coords) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def positive_roots(datum: CartanDatum) -> tuple[tuple[int, ...], ...]:
     """All positive roots, sorted by height then lexicographically."""
     n = datum.rank

@@ -2,9 +2,9 @@
 
 An element is stored by its root-image table: the tuple
 ``(w(alpha_1), ..., w(alpha_r))`` of images of the simple roots, each in
-simple-root coordinates.  Two elements are equal iff their tables are equal;
-elements of a group are interned, so equality is identity and per-element
-caches (reduced word, inversions) are shared.
+simple-root coordinates.  A group interns its elements by table, so one
+table gives one object: equality and hashing are object identity, and
+per-element caches (reduced word, inversions) are shared.
 
 Words are exchanged with the outside world as digit strings: ``"121"`` means
 ``s_1 s_2 s_1`` (applied right to left as maps), ``"e"`` or ``""`` is the
@@ -42,22 +42,17 @@ class GroupMismatchError(ValueError):
 
 
 class WeylElement:
-    __slots__ = ("group", "table", "_hash", "_word", "_inversions")
+    """An element of a Weyl group.  Only its group makes one (``intern``,
+    ``from_word``, ``parse_word``), so one table is one object, and equality
+    and hashing are the default object identity."""
+
+    __slots__ = ("group", "table", "_word", "_inversions")
 
     def __init__(self, group: "WeylGroup", table: tuple[tuple[int, ...], ...]):
         self.group = group
         self.table = table
-        self._hash = hash(table)
         self._word = None
         self._inversions = None
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return isinstance(other, WeylElement) and self.table == other.table and self.group is other.group
 
     def __repr__(self):
         return f"W[{self.word_str}]"
@@ -119,7 +114,11 @@ class WeylElement:
 
     @property
     def word_str(self) -> str:
-        return self.group.format_word(self)
+        if self is self.group.identity:
+            return "e"
+        if self.group.rank <= 9:
+            return "".join(str(k) for k in self.word)
+        return " ".join(str(k) for k in self.word)
 
     @property
     def sort_key(self):
@@ -149,10 +148,6 @@ class WeylGroup:
         self._wp: dict[frozenset[int], tuple[WeylElement, ...]] = {}
         n = datum.rank
         self.identity = self.intern(tuple(tuple(1 if i == j else 0 for i in range(n)) for j in range(n)))
-        self._simple = tuple(
-            self.intern(tuple(rootsys.reflect_root_coords(datum, k, col) for col in self.identity.table))
-            for k in range(1, n + 1)
-        )
 
     @classmethod
     @lru_cache(maxsize=None)
@@ -168,8 +163,7 @@ class WeylGroup:
         return el
 
     def simple(self, k: int) -> WeylElement:
-        rootsys.check_index(self.datum, k)
-        return self._simple[k - 1]
+        return self.left_mult_gen(k, self.identity)
 
     def left_mult_gen(self, k: int, w: WeylElement) -> WeylElement:
         """s_k * w, applying s_k to every column of the table."""
@@ -215,13 +209,6 @@ class WeylGroup:
         if any(not 1 <= k <= self.rank for k in letters):
             raise ValueError(f"word {text!r} uses letters outside 1..{self.rank}")
         return self.from_word(letters)
-
-    def format_word(self, w: WeylElement) -> str:
-        if w is self.identity:
-            return "e"
-        if self.rank <= 9:
-            return "".join(str(k) for k in w.word)
-        return " ".join(str(k) for k in w.word)
 
     def elements(self) -> tuple[WeylElement, ...]:
         """All of W, sorted by (length, lex-minimal word): W^P for P empty."""

@@ -375,3 +375,17 @@ def test_cli_table_json_prints_the_normalised_parabolic(capsys):
     assert json.loads(repeated)["parabolic"] == [1]
     assert cli.main(["table", "--group", "A2", "--parabolic", "1", "--format", "json"]) == 0
     assert capsys.readouterr().out == repeated
+
+
+def test_cli_latex_table_braces_indices_from_ten_on(tmp_path, capsys):
+    # the class word was split into characters (s_1s_0 for s_10), and alpha_10 and q_10 went unbraced
+    path = tmp_path / "a1x10.txt"
+    path.write_text("10\n" + "".join(" ".join("2" if j == i else "0" for j in range(10)) + "\n" for i in range(10)))
+    code, out, _ = run_cli(
+        capsys, "table", "--group", str(path), "--parabolic", "1,2,3,4,5,6,7,8,9", "--format", "latex"
+    )
+    assert code == 0
+    assert out.splitlines()[1] == (
+        "  {\\mathcal O}^{s_{10}}\\circ {\\mathcal O}^{s_{10}} &\\equiv "
+        "(1 - e^{-\\alpha_{10}}){\\mathcal O}^{s_{10}}+e^{-\\alpha_{10}}q_{10}\\\\"
+    )

@@ -1,4 +1,8 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -561,3 +565,39 @@ def test_a_class_of_another_root_datum_is_refused(engine):
     for call in calls:
         with pytest.raises(weyl.GroupMismatchError, match="on A2 takes classes of A2, not of B2"):
             call()
+
+
+def test_diagonal_value_refuses_an_element_of_another_group(engine):
+    # it read the B3 element's inversions against the A3 datum and answered a value of no A3 element
+    e = engine("A3")
+    with pytest.raises(weyl.GroupMismatchError, match="B3 is not in the Weyl group of A3"):
+        e.diagonal_value(engine("B3").W.parse_word("32"))
+
+
+def test_divided_difference_refuses_an_index_of_another_group(engine):
+    # it decided k-freeness on its own A4 diagram and moved the D4 index as if it were its own
+    e, s2 = engine("A4"), KTEngine(named_datum("D4")).W.simple(2)
+    with pytest.raises(weyl.GroupMismatchError, match="D4 is not in the Weyl group of A4"):
+        e.divided_difference(SchubertExpansion({s2: e.ring_one()}, frozenset({4})), 2)
+
+
+_DEMAZURE_ORDER = (
+    "from qkline import KTEngine, named_datum\n"
+    "e = KTEngine(named_datum('A3'))\n"
+    "for v in e.W.elements():\n"
+    "    for k in (1, 2, 3):\n"
+    "        print(' '.join(w.word_str for w in e.demazure(e.schubert_class(v), k).restrictions))\n"
+)
+
+
+def test_demazure_points_come_in_the_same_order_in_every_interpreter():
+    # elements hash by identity, so a set of them iterates in address order; the output must not
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    runs = [
+        subprocess.run([sys.executable, "-c", _DEMAZURE_ORDER], capture_output=True, text=True, timeout=60, env=env)
+        for _ in range(2)
+    ]
+    assert [run.returncode for run in runs] == [0, 0], runs[0].stderr[-500:]
+    assert len(runs[0].stdout.splitlines()) == 24 * 3
+    assert runs[0].stdout == runs[1].stdout

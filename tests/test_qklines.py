@@ -547,6 +547,25 @@ def test_report_json_lines(engine):
     assert parsed["group"] == "A2"
 
 
+def test_report_json_of_a_failing_report_with_witnesses_and_details():
+    from qkline.qklines import CheckReport
+
+    rep = CheckReport("sign", "A3", (1, 3), 2, "fail", (("1", "2", "e", "-1"), ("12", 21, (1, 0))), {"pairs": 6})
+    assert rep.to_json() == (
+        '{"check": "sign", "details": {"pairs": 6}, "group": "A3", "k": 2, "parabolic": [1, 3], '
+        '"status": "fail", "witnesses": [["1", "2", "e", "-1"], ["12", "21", "(1, 0)"]]}'
+    )
+
+
+def test_report_json_leaves_out_empty_details():
+    from qkline.qklines import CheckReport
+
+    rep = CheckReport("peterson", "A3", (1,), 2, "pass")
+    assert rep.to_json() == (
+        '{"check": "peterson", "group": "A3", "k": 2, "parabolic": [1], "status": "pass", "witnesses": []}'
+    )
+
+
 
 def test_peterson_sweep_reports_failures_then_summary(engine, monkeypatch):
     from qkline import qklines

@@ -76,6 +76,7 @@ def test_length_equals_word_length():
 
 _INDEXED_CALLS = {
     "from_word": lambda W, k: W.from_word([k]),
+    "simple": lambda W, k: W.simple(k),
     "left_mult_gen": lambda W, k: W.left_mult_gen(k, W.simple(2)),
     "right_mult_gen": lambda W, k: W.right_mult_gen(W.simple(2), k),
     "hecke_down": lambda W, k: hecke_down(W.simple(2), k),
@@ -252,7 +253,7 @@ def test_walk_up_wp_matches_filtering_w(label):
 
 
 def test_enumerate_wp_does_not_build_w():
-    W = WeylGroup(named_datum("D5"))  # a fresh group: nothing interned beyond the generators
+    W = WeylGroup(named_datum("D5"))  # a fresh group: only the identity is interned
     assert len(enumerate_wp(W, {2, 3, 4, 5})) == 10
     assert len(W._intern) < W.order == 1_920
 
