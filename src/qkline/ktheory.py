@@ -44,8 +44,8 @@ whole check.  The Borel quotient (``P`` empty) is the case in which nothing
 is restricted.  The pushforward to a point is the sum of expansion
 coefficients, because every Schubert class has sheaf Euler characteristic 1.
 
-All caches are append-only with value-identical recomputation, so the engine
-may be shared across threads.
+All caches are append-only with value-identical recomputation, and the solve
+mutates only residuals it created: the engine may be shared across threads.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import repring, rootsys, weyl
-from .repring import RingElt, accumulate, exact_divide
+from .repring import RingElt, accumulate, exact_divide, subtract_product
 from .rootsys import CartanDatum
 from .weyl import WeylElement, WeylGroup
 
@@ -231,10 +231,13 @@ class KTEngine:
         """Triangular solve for the coefficients of ``c`` in the Schubert
         basis of its own quotient G/P; the solve visits W^P only."""
         p = weyl.normalize_parabolic(self.datum, c.parabolic)
-        resid = dict(c.restrictions)
+        reps = weyl.enumerate_wp(self.W, p)
+        # the solve's own residuals, one per point: subtract_product mutates them, never c or a memoised class
+        resid = {w: RingElt(self.rank, {}, 0) for w in reps}
+        resid.update((w, RingElt(self.rank, dict(val._terms), val._bound)) for w, val in c.restrictions.items())
         coeffs: dict[WeylElement, RingElt] = {}
-        for v in weyl.enumerate_wp(self.W, p):
-            val = resid.get(v)
+        for v in reps:
+            val = resid.pop(v)
             if not val:
                 continue
             cls = self.schubert_class(v, p)
@@ -245,11 +248,11 @@ class KTEngine:
                     f"restriction at {v.word_str} is not divisible by the diagonal value"
                 ) from None
             coeffs[v] = cv
-            neg_cv = -cv
             for w, ov in cls.restrictions.items():
-                accumulate(resid, w, neg_cv * ov)
-        if resid:
-            bad = sorted(resid, key=lambda w: w.sort_key)
+                if w is not v:  # exact_divide returned, so the residual at v is exactly 0
+                    subtract_product(resid[w], cv, ov)
+        bad = sorted((w for w, r in resid.items() if r), key=lambda w: w.sort_key)
+        if bad:
             raise ExpansionError(
                 "class is not in the Schubert span of its quotient; leftover support at "
                 + ", ".join(w.word_str for w in bad[:4])
@@ -300,6 +303,7 @@ class KTEngine:
             raise ValueError("pushforward needs a containing parabolic")
         out: dict[WeylElement, RingElt] = {}
         for w, cw in e.coeffs.items():
+            self._require_element(w)
             accumulate(out, weyl.min_coset_rep(w, q), cw)
         return SchubertExpansion(out, q)
 
@@ -309,12 +313,15 @@ class KTEngine:
         p = weyl.normalize_parabolic(self.datum, smaller)
         if not p <= e.parabolic:
             raise ValueError("pullback needs a contained parabolic")
+        for w in e.coeffs:
+            self._require_element(w)
         return SchubertExpansion(dict(e.coeffs), p)
 
     def euler_characteristic(self, e: SchubertExpansion) -> RingElt:
         """Pushforward to the point: every basis class integrates to 1."""
         total = self.ring_zero()
-        for cw in e.coeffs.values():
+        for w, cw in e.coeffs.items():
+            self._require_element(w)
             total = total + cw
         return total
 

@@ -22,6 +22,9 @@ checked exactly and refused with ``ValueError``, like ``_pack``; a move along
 a root whose bound could reach it takes a checked route instead.  The test
 is O(1) per operation and nothing is unpacked in the inner loops.
 
+Elements are immutable once shared: the one product loop, ``subtract_product``
+(``acc -= a*b`` in place), runs only on an element its caller owns.
+
 Division is polynomial long division against the graded-lex leading term.
 For an exact quotient the leading term of each partial remainder equals
 ``LT(divisor) * (a term of the quotient)``, so the division terminates after
@@ -85,7 +88,7 @@ def _unpack(rank: int, key: int) -> tuple[int, ...]:
 
 
 class RingElt:
-    """An element of the group ring; immutable and hashable."""
+    """An element of the group ring; immutable and hashable once shared."""
 
     __slots__ = ("rank", "_terms", "_bound")
 
@@ -196,26 +199,9 @@ class RingElt:
             return RingElt(self.rank, {k: c * other for k, c in self._terms.items()}, self._bound)
         if not isinstance(other, RingElt):
             return NotImplemented
-        self._check(other)
-        bound = self._bound + other._bound
-        if bound >= _COORD_OFF:
-            bound = _edge_bound(self, other, 1)
-        a, b = self._terms, other._terms
-        if len(a) > len(b):
-            a, b = b, a
-        key0 = _codec(self.rank)[2]
-        out: dict[int, int] = {}
-        get = out.get
-        for k1, c1 in a.items():
-            base = k1 - key0
-            for k2, c2 in b.items():
-                k = base + k2
-                v = get(k, 0) + c1 * c2
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
-        return RingElt(self.rank, out, bound)
+        out = RingElt(self.rank, {}, 0)
+        subtract_product(out, self, other, 1)
+        return out
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -255,6 +241,30 @@ def _edge_bound(a: RingElt, b: RingElt, sign: int) -> int:
         op = "product" if sign > 0 else "quotient"
         raise ValueError(f"the {op} has an exponent with a coordinate outside [-2**23, 2**23)")
     return max(-lo, hi)
+
+
+def subtract_product(acc: RingElt, a: RingElt, b: RingElt, sign: int = -1) -> None:
+    """``acc -= a * b`` in place (``+=`` for sign 1), with no temporary product;
+    a ValueError from the bound check leaves ``acc`` as it was.  Callers own
+    ``acc``: a fresh zero in ``__mul__``, a residual in ``KTEngine.expand``."""
+    a._check(b)
+    acc._check(a)
+    bound = a._bound + b._bound
+    if bound >= _COORD_OFF:
+        bound = _edge_bound(a, b, 1)
+    x, y = sorted((a._terms, b._terms), key=len)  # the shorter outside
+    key0, out = _codec(acc.rank)[2], acc._terms
+    get = out.get
+    for k1, c1 in x.items():
+        base, c1 = k1 - key0, sign * c1
+        for k2, c2 in y.items():
+            k = base + k2
+            v = get(k, 0) + c1 * c2
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+    acc._bound = max(acc._bound, bound)
 
 
 def accumulate(acc: dict, key, val) -> None:

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from qkline import ExpansionError, KTEngine, named_datum, repring, weyl
+from qkline import ExpansionError, KTEngine, named_datum, qklines, repring, weyl
 from qkline.ktheory import KClass, SchubertExpansion
 from qkline.repring import RingElt, parse_expression
 from qkline.rootsys import alpha_to_omega, positive_roots, reflect
@@ -579,6 +579,65 @@ def test_divided_difference_refuses_an_index_of_another_group(engine):
     e, s2 = engine("A4"), KTEngine(named_datum("D4")).W.simple(2)
     with pytest.raises(weyl.GroupMismatchError, match="D4 is not in the Weyl group of A4"):
         e.divided_difference(SchubertExpansion({s2: e.ring_one()}, frozenset({4})), 2)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda e, exp: e.pushforward(exp, {1}),
+        lambda e, exp: e.pullback(exp, ()),
+        lambda e, exp: e.euler_characteristic(exp),
+    ],
+    ids=["pushforward", "pullback", "euler_characteristic"],
+)
+def test_functoriality_refuses_an_index_of_another_group(engine, op):
+    # pushforward reindexed the D4 index by its A4 coset, pullback kept it and euler_characteristic summed it
+    e, x = engine("A4"), KTEngine(named_datum("D4")).W.parse_word("21")
+    with pytest.raises(weyl.GroupMismatchError, match="D4 is not in the Weyl group of A4"):
+        op(e, SchubertExpansion({x: e.ring_one()}))
+
+
+def test_expand_reads_a_stored_zero_value_as_zero(engine):
+    # KClass.value reads a missing point as zero, so a stored zero is the same class
+    e = engine("A2")
+    s1, s2 = e.W.simple(1), e.W.simple(2)
+    assert e.expand(KClass(e.datum, {s1: e.ring_zero()})).coeffs == {}
+    assert e.expand(KClass(e.datum, {s1: e.ring_zero()}, frozenset({2}))).coeffs == {}
+    with_zero = KClass(e.datum, {**e.schubert_class(s2).restrictions, s1: e.ring_zero()})
+    assert e.expand(with_zero).coeffs == {s2: e.ring_one()}
+
+
+def _snapshot(cls):
+    return {w: (dict(val._terms), val._bound) for w, val in cls.restrictions.items()}
+
+
+@pytest.mark.parametrize("label, p", [("A3", ()), ("D4", (2, 3, 4))])
+def test_a_table_mutates_neither_the_input_classes_nor_the_memoised_ones(monkeypatch, label, p):
+    """expand subtracts in place from its residuals; the class it expands and
+    every memoised Schubert class keep their terms and bounds."""
+    e = KTEngine(named_datum(label))
+    p = weyl.normalize_parabolic(e.datum, p)
+    e.schubert_class(e.W.identity, p)
+    before = {key: _snapshot(cls) for key, cls in e._schubert.items()}
+    expand, inputs = KTEngine.expand, []
+
+    def checked_expand(self, c):
+        snap = _snapshot(c)
+        out = expand(self, c)
+        inputs.append(snap == _snapshot(c))
+        return out
+
+    monkeypatch.setattr(KTEngine, "expand", checked_expand)
+    reps = [w for w in weyl.enumerate_wp(e.W, p) if w is not e.W.identity]
+    for i, u in enumerate(reps):
+        for v in reps[i:]:
+            qklines.qk_product_degree1(e, u, v, p)
+    assert inputs and all(inputs)
+    assert all(_snapshot(e._schubert[key]) == snap for key, snap in before.items())
+    # the classes built during the table (the P_k quotients) match a fresh engine's
+    fresh = KTEngine(named_datum(label))
+    for (v, q), cls in e._schubert.items():
+        assert _snapshot(cls) == _snapshot(fresh.schubert_class(v, q))
 
 
 _DEMAZURE_ORDER = (

@@ -18,6 +18,7 @@ from qkline.repring import (
     from_pairs,
     parse_expression,
     rewrite_in_shifted_basis,
+    subtract_product,
     to_pairs,
     weyl_act,
 )
@@ -369,6 +370,45 @@ def test_product_and_quotient_overflow_raise():
     back = RingElt.monomial(2, (-3 * 2**21, 5))
     assert (big * back).terms() == [((0, 5), 1)]
     assert exact_divide(big * back, back) == big
+
+
+@st.composite
+def root_lattice_elts(draw, datum):
+    """Elements whose exponents are sums of up to three roots of ``datum``,
+    in fundamental-weight coordinates."""
+    roots = [alpha_to_omega(datum, beta) for beta in positive_roots(datum)]
+    roots += [tuple(-x for x in lam) for lam in roots]
+    items = []
+    for _ in range(draw(st.integers(0, 4))):
+        lams = draw(st.lists(st.sampled_from(roots), max_size=3))
+        items.append((tuple(map(sum, zip((0, 0), *lams))), draw(st.integers(-5, 5))))
+    return RingElt.from_terms(datum.rank, items)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(["A2", "B2", "G2"]).map(named_datum).flatmap(lambda d: st.tuples(*[root_lattice_elts(d)] * 3)))
+def test_subtract_product_matches_the_ring_operations(elts):
+    acc, a, b = elts
+    # the product term by term on exponent tuples, a reference that does not run the kernel
+    prod = [(tuple(map(sum, zip(la, lb))), ca * cb) for la, ca in a.terms() for lb, cb in b.terms()]
+    for args, s in (((), -1), ((1,), 1)):  # acc -= a*b unless sign 1 is passed
+        want = acc + s * (a * b)
+        assert want == RingElt.from_terms(2, acc.terms() + [(lam, s * c) for lam, c in prod])
+        copy = RingElt(acc.rank, dict(acc._terms), acc._bound)
+        subtract_product(copy, a, b, *args)
+        assert copy.terms() == want.terms()
+        assert copy._bound >= max(acc._bound, (a * b)._bound)
+        assert all(copy._bound >= abs(x) for lam, _ in copy.terms() for x in lam)
+
+
+def test_subtract_product_at_the_field_edge_leaves_acc_untouched():
+    m = RingElt.monomial(2, (2**22, 0))
+    acc = RingElt.from_terms(2, [((1, 2), 3), ((0, -1), -1)])
+    terms, bound = dict(acc._terms), acc._bound
+    for sign in (-1, 1):
+        with pytest.raises(ValueError, match="outside"):
+            subtract_product(acc, m, m, sign)
+        assert acc._terms == terms and acc._bound == bound
 
 
 @settings(max_examples=200)
