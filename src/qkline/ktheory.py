@@ -197,6 +197,7 @@ class KTEngine:
         (w, w s_k); sends O^v to O^{v_k} and is idempotent.  Acts on G/B."""
         rootsys.check_index(self.datum, k)
         self._require_on(c, frozenset(), "demazure")
+        self._require_element(*c.restrictions)
         W = self.W
         pts = dict.fromkeys(c.restrictions)  # insertion-ordered, so the output never follows addresses
         pts.update(dict.fromkeys(W.right_mult_gen(w, k) for w in c.restrictions))
@@ -285,8 +286,7 @@ class KTEngine:
     def divided_difference(self, e: SchubertExpansion, k: int, opposite: bool = False) -> SchubertExpansion:
         """Coefficientwise Hecke move of the basis indices: O^w -> O^{w_k}
         (or O_w -> O_{w^k} on the opposite basis)."""
-        for w in e.coeffs:
-            self._require_element(w)
+        self._require_element(*e.coeffs)
         if not weyl.is_k_free(self.datum, e.parabolic, k):
             raise ValueError(f"divided difference needs a k-free parabolic (k={k})")
         move = weyl.hecke_up if opposite else weyl.hecke_down
@@ -313,8 +313,7 @@ class KTEngine:
         p = weyl.normalize_parabolic(self.datum, smaller)
         if not p <= e.parabolic:
             raise ValueError("pullback needs a contained parabolic")
-        for w in e.coeffs:
-            self._require_element(w)
+        self._require_element(*e.coeffs)
         return SchubertExpansion(dict(e.coeffs), p)
 
     def euler_characteristic(self, e: SchubertExpansion) -> RingElt:
@@ -348,26 +347,28 @@ class KTEngine:
     def gkm_violations(self, c: KClass):
         """Edge-divisibility failures as (point, root) pairs, at most four;
         empty means the class satisfies the moment-graph condition.  Each
-        edge with a value at either end is tested once, from its shorter end
-        when both carry values.  Checks classes on G/B."""
+        edge with a value at either end is tested once on its two end values,
+        from its shorter end when both carry values.  Checks classes on G/B."""
         self._require_on(c, frozenset(), "gkm_violations")
-        vals, graph, zero = c.restrictions, self._moment_graph(), self.ring_zero()
+        vals, graph = c.restrictions, self._moment_graph()
         bad = []
-        for w in vals:
+        for w, val in vals.items():
+            if w not in graph:  # the graph holds every point of this engine's W
+                self._require_element(w)
             for other, beta, lam in graph[w]:
                 if other in vals and other.length < w.length:
                     continue
-                diff = vals[w] - vals.get(other, zero)
-                if diff and not repring.divides_one_minus_e(diff, lam):
+                if not repring.divides_one_minus_e(val, lam, vals.get(other)):
                     bad.append((w, beta))
                     if len(bad) >= 4:
                         return bad
         return bad
 
-    def _require_element(self, v: WeylElement) -> None:
-        """Raise GroupMismatchError unless ``v`` is in this engine's own WeylGroup."""
-        if v.group is not self.W:
-            raise weyl.GroupMismatchError(f"{v!r} of {v.group.datum} is not in the Weyl group of {self.datum}")
+    def _require_element(self, *points: WeylElement) -> None:
+        """Raise GroupMismatchError unless every point is in this engine's own WeylGroup."""
+        for v in points:
+            if v.group is not self.W:
+                raise weyl.GroupMismatchError(f"{v!r} of {v.group.datum} is not in the Weyl group of {self.datum}")
 
     def _require_on(self, c: KClass, p: frozenset[int], op: str) -> None:
         """Raise ValueError unless ``c`` is a class of this engine's datum on

@@ -9,8 +9,8 @@ natural ordering realizes graded-lex order on exponents (total degree field
 first, then the coordinates, each shifted by a fixed offset into a 24-bit
 field; a coordinate outside ``[-2**23, 2**23)`` is refused).  Packing is
 additive, so ``e^lam * e^mu`` is one integer addition and a move along a
-root, ``lam - t beta`` with ``t`` read off one field, one multiply-subtract:
-the Weyl action and the test for divisibility by ``1 - e^beta`` use it.
+root, ``lam - t beta`` with ``t`` read off one field, one multiply-subtract
+(``_move_into``): the Weyl action and the test of ``a - b`` by ``1 - e^beta`` use it.
 Packed order makes the leading-term scans of exact division cheap.  The
 packing is an internal detail: the public API speaks exponent tuples.
 
@@ -300,7 +300,7 @@ def simple_reflection(a: RingElt, datum: CartanDatum, k: int, bound: int | None 
     bound = generic if bound is None else min(bound, generic)
     if bound >= _COORD_OFF:
         return a.map_exponents(partial(rootsys.reflect, datum, k))
-    return RingElt(a.rank, dict(_moved_terms(a, shift, 1, step)), bound)
+    return RingElt(a.rank, _move_into({}, a._terms, shift, 1, step), bound)  # a bijection on keys: nothing cancels
 
 
 @lru_cache(maxsize=None)
@@ -311,12 +311,15 @@ def _reflection_step(datum: CartanDatum, k: int):
     return alpha, shifts[k - 1], _pack(datum.rank, alpha) - key0
 
 
-def _moved_terms(a: RingElt, shift: int, d: int, step: int):
-    """(packed key of ``lam - floor(lam_j / d) beta``, coefficient) per term of
-    ``a``, for field j at ``shift`` and ``step`` = packed(beta) off by key0."""
+def _move_into(out: dict, terms: dict, shift: int, d: int, step: int, sign: int = 1) -> dict:
+    """``out[k] += sign * c`` at the packed key k of ``lam - floor(lam_j / d) beta`` per term
+    (packed lam, c) of ``terms``, field j at ``shift``, ``step`` = packed(beta) off by key0."""
     mask = (1 << _COORD_BITS) - 1
-    for key, c in a._terms.items():
-        yield key - ((((key >> shift) & mask) - _COORD_OFF) // d) * step, c
+    get = out.get
+    for key, c in terms.items():
+        k = key - ((((key >> shift) & mask) - _COORD_OFF) // d) * step
+        out[k] = get(k, 0) + sign * c
+    return out
 
 
 def exact_divide(a: RingElt, b: RingElt) -> RingElt:
@@ -364,27 +367,43 @@ def exact_divide(a: RingElt, b: RingElt) -> RingElt:
     return RingElt(a.rank, quo, bound)
 
 
-def divides_one_minus_e(a: RingElt, beta_weight_coords) -> bool:
-    """Divisibility by 1 - e^beta: the coefficient sums over every coset
-    modulo Z*beta vanish.  Each exponent (a packed key, or a tuple at a field's
-    edge) moves to the coset's member whose coordinate j, the first nonzero one
-    of beta, lies between 0 and beta_j."""
-    beta = tuple(beta_weight_coords)
-    if len(beta) != a.rank:
-        raise ValueError(f"root {beta} does not have length {a.rank}, the rank")
+def divides_one_minus_e(a: RingElt, beta_weight_coords, b: RingElt | None = None) -> bool:
+    """Whether ``a - b`` (``a`` when ``b`` is None) is divisible by 1 - e^beta: the
+    coefficient sums over every coset modulo Z*beta vanish.  The terms of both operands,
+    +c for ``a`` and -c for ``b``, move into one dict of coset sums, to the member whose
+    coordinate j, the first nonzero one of beta, lies between 0 and beta_j: packed keys by
+    the cached per-root move, tuples at a field's edge.  A non-integer beta raises TypeError."""
+    beta = tuple(map(rootsys.as_int, beta_weight_coords))
+    if b is not None:
+        a._check(b)
+    b_terms, b_bound = ({}, 0) if b is None else (b._terms, b._bound)
+    j, edge, shift, step = _root_move(a.rank, beta)
+    if a._terms == b_terms:
+        return True
+    if max(a._bound, b_bound) < edge:
+        sums = _move_into(_move_into({}, a._terms, shift, beta[j], step), b_terms, shift, beta[j], step, -1)
+    else:
+        sums = {}
+        for terms, sign in ((a._terms, 1), (b_terms, -1)):
+            for lam, c in ((_unpack(a.rank, key), c) for key, c in terms.items()):
+                moved = tuple(x - lam[j] // beta[j] * y for x, y in zip(lam, beta))
+                sums[moved] = sums.get(moved, 0) + sign * c
+    return not any(sums.values())
+
+
+@lru_cache(maxsize=256)  # more than the 120 positive roots of E8, the most of any finite root system
+def _root_move(rank: int, beta: tuple[int, ...]):
+    """j, the first nonzero coordinate of beta; the least operand bound at which a moved
+    coordinate (at most bound * (1 + max |beta|)) could leave its field; shift j; packed(beta) - key0."""
+    if len(beta) != rank:
+        raise ValueError(f"root {beta} does not have length {rank}, the rank")
     j = next((i for i, x in enumerate(beta) if x), None)
     if j is None:
         raise ZeroDivisionError("division by the zero ring element")
-    if a._bound * (1 + max(map(abs, beta))) >= _COORD_OFF:
-        lams = ((_unpack(a.rank, key), c) for key, c in a._terms.items())
-        moved = ((tuple(x - lam[j] // beta[j] * b for x, b in zip(lam, beta)), c) for lam, c in lams)
-    else:
-        shifts, _, key0, _ = _codec(a.rank)
-        moved = _moved_terms(a, shifts[j], beta[j], _pack(a.rank, beta) - key0)
-    sums: dict = {}
-    for key, c in moved:
-        sums[key] = sums.get(key, 0) + c
-    return not any(sums.values())
+    shifts, _, key0, _ = _codec(rank)
+    reach = 1 + max(map(abs, beta))
+    step = _pack(rank, beta) - key0 if reach <= _COORD_OFF else 0  # else only bound 0 (no key moves) is packed
+    return j, -(-_COORD_OFF // reach), shifts[j], step
 
 
 def rewrite_in_shifted_basis(a: RingElt, datum: CartanDatum) -> dict[tuple[int, ...], int]:

@@ -119,6 +119,28 @@ def test_gkm_violations_test_each_edge_once_from_its_shorter_end(engine):
     assert e.gkm_violations(KClass(e.datum, cls)) == [(e.W.identity, (1, 0))]
 
 
+def test_gkm_violations_refuses_a_point_of_another_group_of_the_same_datum(engine):
+    # the moment-graph lookup missed it with a bare KeyError
+    e = engine("A2")
+    foreign = weyl.WeylGroup(named_datum("A2"))
+    with pytest.raises(weyl.GroupMismatchError, match="is not in the Weyl group of A2"):
+        e.gkm_violations(KClass(e.datum, {foreign.identity: e.ring_one()}))
+
+
+def test_demazure_refuses_a_point_of_another_group_of_the_same_datum(engine):
+    # it answered {s1: 1} for the foreign s1, where the engine's own s1 gives {s1: 1, e: 1}
+    e = engine("A2")
+    for group in (e.W, weyl.WeylGroup(named_datum("A2"))):
+        s1 = group.simple(1)
+        t = RingElt.monomial(2, alpha_to_omega(e.datum, s1.table[0]))  # e^{s1(alpha_1)}
+        cls = KClass(e.datum, {s1: e.ring_one() - t})
+        if group is e.W:
+            assert e.demazure(cls, 1).restrictions == {s1: e.ring_one(), e.W.identity: e.ring_one()}
+        else:
+            with pytest.raises(weyl.GroupMismatchError, match="is not in the Weyl group of A2"):
+                e.demazure(cls, 1)
+
+
 def test_demazure_consistency(engine):
     # the moment-graph operator reproduces the Hecke move on basis indices;
     # the classes come from the left recursion, so two constructions meet

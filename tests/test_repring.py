@@ -537,3 +537,55 @@ def test_divides_one_minus_e_refuses_a_root_of_the_wrong_length_or_zero(a, beta,
     # zip used to truncate the longer tuple, and beta = 0 raised a bare StopIteration
     with pytest.raises(error, match=match):
         repring.divides_one_minus_e(a, beta)
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from(_ROOTS_IN_WEIGHT_COORDS),
+    ring_elts(),
+    ring_elts(),
+    st.sampled_from(["other", "same", "multiple", "edge", "edge-multiple"]),
+    st.tuples(_edge_coord, _edge_coord),
+)
+def test_divides_one_minus_e_of_two_operands_is_that_of_their_difference(beta, a, b, how, x):
+    # "same" is a zero difference; the edge rows shift only b, so one operand alone is near a field's edge
+    divisor = RingElt.one(2) - RingElt.monomial(2, beta)
+    try:
+        if how.startswith("edge"):
+            b = b * RingElt.monomial(2, x)
+        if how.endswith("multiple"):
+            b = a + b * divisor
+    except ValueError:  # the shift or the product leaves the packed fields; test what was built
+        pass
+    if how == "same":
+        b = a
+    want = repring.divides_one_minus_e(a - b, beta)
+    assert repring.divides_one_minus_e(a, beta, b) is want
+    assert repring.divides_one_minus_e(b, beta, a) is want
+
+
+def test_divides_one_minus_e_refuses_operands_of_different_ranks():
+    # checked before anything else, so two equal (empty) term dicts do not answer True
+    for a, b in ((RingElt.zero(2), RingElt.zero(3)), (RingElt.one(2), RingElt.one(3))):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            repring.divides_one_minus_e(a, (1, 0), b)
+
+
+@pytest.mark.parametrize("top", [4, 2**22], ids=["packed", "field-edge"])
+@pytest.mark.parametrize("beta", [(1.5, -1), (2.0, -1.0)], ids=["fraction", "integral-float"])
+def test_divides_one_minus_e_refuses_a_root_that_is_not_integral(top, beta):
+    # at the field edge 1.5 read as a real division and 2.0 as 2; in the packed route both failed in <<
+    a = RingElt.monomial(2, (top, 0)) - RingElt.monomial(2, (top - 2, 1))
+    with pytest.raises(TypeError, match=f"{beta[0]!r} is not an integer"):
+        repring.divides_one_minus_e(a, beta)
+    with pytest.raises(TypeError, match=f"{beta[0]!r} is not an integer"):
+        repring.divides_one_minus_e(a, beta, RingElt.one(2))
+
+
+def test_divides_one_minus_e_by_a_root_too_large_to_pack_is_answered():
+    # packing beta itself would refuse it: a bound-0 element, whose one exponent 0 never moves,
+    # takes the packed route with no step, and any other element the tuple route
+    beta = (2**23, 0)
+    assert repring.divides_one_minus_e(RingElt.one(2), beta) is False
+    assert repring.divides_one_minus_e(RingElt.one(2), beta, RingElt.one(2)) is True
+    assert repring.divides_one_minus_e(RingElt.one(2) - RingElt.monomial(2, (1, 0)), beta) is False
