@@ -75,14 +75,11 @@ class KClass:
         """The value at any point of W: a class on G/P is read at the
         minimal representative of w W_P.  GroupMismatchError for a point of
         another group than the Weyl group of the datum."""
+        WeylGroup.for_datum(self.datum).require(w)
         if self.parabolic:
             w = weyl.min_coset_rep(w, self.parabolic)
         got = self.restrictions.get(w)
-        if got is not None:
-            return got
-        if w.group is not WeylGroup.for_datum(self.datum):
-            raise weyl.GroupMismatchError(f"{w!r} of {w.group.datum} is not in the Weyl group of {self.datum}")
-        return RingElt.zero(self.datum.rank)
+        return RingElt.zero(self.datum.rank) if got is None else got
 
 
 @dataclass(frozen=True)
@@ -96,13 +93,9 @@ class SchubertExpansion:
     def coeff(self, w: WeylElement) -> RingElt:
         """The coefficient of O^w, zero off the support; GroupMismatchError for
         a w of another group than the indices (an empty expansion has none)."""
+        next((x.group for x in self.coeffs), w.group).require(w)
         got = self.coeffs.get(w)
-        if got is not None:
-            return got
-        group = next((x.group for x in self.coeffs), w.group)
-        if w.group is not group:
-            raise weyl.GroupMismatchError(f"{w!r} of {w.group.datum} is not in the Weyl group of {group.datum}")
-        return RingElt.zero(w.group.rank)
+        return RingElt.zero(w.group.rank) if got is None else got
 
     def items_sorted(self):
         return sorted(self.coeffs.items(), key=lambda kv: kv[0].sort_key)
@@ -134,7 +127,7 @@ class KTEngine:
 
     def diagonal_value(self, v: WeylElement) -> RingElt:
         """prod (1 - e^{-beta}) over inversions; the value O^v|_v."""
-        self._require_element(v)
+        self.W.require(v)
         out = self.ring_one()
         for beta in v.inversions:
             out = out * self._one_minus_e(tuple(-x for x in rootsys.alpha_to_omega(self.datum, beta)))
@@ -146,7 +139,7 @@ class KTEngine:
         p = weyl.normalize_parabolic(self.datum, parabolic)
         got = self._schubert.get((v, p))
         if got is None:
-            self._require_element(v)
+            self.W.require(v)
             weyl.require_wp(v, p)
             self._build_classes(p)
             got = self._schubert[(v, p)]
@@ -197,7 +190,6 @@ class KTEngine:
         (w, w s_k); sends O^v to O^{v_k} and is idempotent.  Acts on G/B."""
         rootsys.check_index(self.datum, k)
         self._require_on(c, frozenset(), "demazure")
-        self._require_element(*c.restrictions)
         W = self.W
         pts = dict.fromkeys(c.restrictions)  # insertion-ordered, so the output never follows addresses
         pts.update(dict.fromkeys(W.right_mult_gen(w, k) for w in c.restrictions))
@@ -231,6 +223,7 @@ class KTEngine:
     def expand(self, c: KClass) -> SchubertExpansion:
         """Triangular solve for the coefficients of ``c`` in the Schubert
         basis of its own quotient G/P; the solve visits W^P only."""
+        self._require_on(c, c.parabolic, "expand")
         p = weyl.normalize_parabolic(self.datum, c.parabolic)
         reps = weyl.enumerate_wp(self.W, p)
         # the solve's own residuals, one per point: subtract_product mutates them, never c or a memoised class
@@ -286,7 +279,7 @@ class KTEngine:
     def divided_difference(self, e: SchubertExpansion, k: int, opposite: bool = False) -> SchubertExpansion:
         """Coefficientwise Hecke move of the basis indices: O^w -> O^{w_k}
         (or O_w -> O_{w^k} on the opposite basis)."""
-        self._require_element(*e.coeffs)
+        self.W.require(*e.coeffs)
         if not weyl.is_k_free(self.datum, e.parabolic, k):
             raise ValueError(f"divided difference needs a k-free parabolic (k={k})")
         move = weyl.hecke_up if opposite else weyl.hecke_down
@@ -301,9 +294,9 @@ class KTEngine:
         q = weyl.normalize_parabolic(self.datum, bigger)
         if not e.parabolic <= q:
             raise ValueError("pushforward needs a containing parabolic")
+        self.W.require(*e.coeffs)
         out: dict[WeylElement, RingElt] = {}
         for w, cw in e.coeffs.items():
-            self._require_element(w)
             accumulate(out, weyl.min_coset_rep(w, q), cw)
         return SchubertExpansion(out, q)
 
@@ -313,14 +306,14 @@ class KTEngine:
         p = weyl.normalize_parabolic(self.datum, smaller)
         if not p <= e.parabolic:
             raise ValueError("pullback needs a contained parabolic")
-        self._require_element(*e.coeffs)
+        self.W.require(*e.coeffs)
         return SchubertExpansion(dict(e.coeffs), p)
 
     def euler_characteristic(self, e: SchubertExpansion) -> RingElt:
         """Pushforward to the point: every basis class integrates to 1."""
+        self.W.require(*e.coeffs)
         total = self.ring_zero()
-        for w, cw in e.coeffs.items():
-            self._require_element(w)
+        for cw in e.coeffs.values():
             total = total + cw
         return total
 
@@ -353,8 +346,6 @@ class KTEngine:
         vals, graph = c.restrictions, self._moment_graph()
         bad = []
         for w, val in vals.items():
-            if w not in graph:  # the graph holds every point of this engine's W
-                self._require_element(w)
             for other, beta, lam in graph[w]:
                 if other in vals and other.length < w.length:
                     continue
@@ -364,18 +355,13 @@ class KTEngine:
                         return bad
         return bad
 
-    def _require_element(self, *points: WeylElement) -> None:
-        """Raise GroupMismatchError unless every point is in this engine's own WeylGroup."""
-        for v in points:
-            if v.group is not self.W:
-                raise weyl.GroupMismatchError(f"{v!r} of {v.group.datum} is not in the Weyl group of {self.datum}")
-
     def _require_on(self, c: KClass, p: frozenset[int], op: str) -> None:
         """Raise ValueError unless ``c`` is a class of this engine's datum on
         G/P (the moment-graph operations walk the edges of G/B, so they ask
-        for P empty)."""
+        for P empty) whose points are in this engine's Weyl group."""
         if c.datum != self.datum:
             raise weyl.GroupMismatchError(f"{op} on {self.datum} takes classes of {self.datum}, not of {c.datum}")
         if c.parabolic != p:
             want, got = (f"G/P for P = {sorted(q)}" if q else "G/B" for q in (p, c.parabolic))
             raise ValueError(f"{op} acts on classes on {want}, not on {got}")
+        self.W.require(*c.restrictions)

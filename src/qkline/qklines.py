@@ -52,8 +52,8 @@ class GateError(ValueError):
 
 def _gate(engine: KTEngine, p, k, *points, k_free=False):
     """(P, P_k) once (P, alpha_k) is admissible, or k-free if ``k_free`` (then
-    P_k = P): a GateError for the hypothesis, then per point GroupMismatchError
-    outside the engine's group and require_wp's ValueError outside W^P."""
+    P_k = P): a GateError for the hypothesis, then GroupMismatchError for a
+    point outside the engine's group and require_wp's ValueError outside W^P."""
     datum = engine.datum
     p = weyl.normalize_parabolic(datum, p)
     if k_free and not weyl.is_k_free(datum, p, k):
@@ -68,8 +68,8 @@ def _gate(engine: KTEngine, p, k, *points, k_free=False):
             f"its component inside Delta_P + {{alpha_{k}}} is not simply laced; the "
             "reduction to the k-free quotient fails for such pairs"
         )
+    engine.W.require(*points)
     for x in points:
-        engine._require_element(x)
         require_wp(x, p)
     return p, weyl.build_Pk(datum, p, k)
 

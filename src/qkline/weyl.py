@@ -12,6 +12,10 @@ identity; from rank 10 on, letters are separated by spaces, as in
 ``"1 10 9"``.  The canonical emitted word is the lexicographically minimal
 reduced word.
 
+Membership: ``WeylGroup.require(*points)`` is the one check that points are
+elements of a group.  Products, Bruhat comparisons and every engine
+operation call it, and it raises ``GroupMismatchError`` with one message.
+
 Immutability: elements never change after interning.  The memo cache of
 coset enumerations (W itself is the one for P empty) only ever grows, and a
 recomputed entry is identical to the cached one, so concurrent readers are
@@ -129,8 +133,7 @@ class WeylElement:
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if not isinstance(other, WeylElement):
             return NotImplemented
-        if other.group is not self.group:
-            raise GroupMismatchError("cannot multiply elements of different groups")
+        self.group.require(other)
         return self.group.intern(tuple(self.apply_to_root(col) for col in other.table))
 
     def inverse(self) -> "WeylElement":
@@ -153,6 +156,12 @@ class WeylGroup:
     @lru_cache(maxsize=None)
     def for_datum(cls, datum: CartanDatum) -> "WeylGroup":
         return cls(datum)
+
+    def require(self, *points: WeylElement) -> None:
+        """Raise GroupMismatchError unless every point is an element of this group."""
+        for w in points:
+            if w.group is not self:
+                raise GroupMismatchError(f"{w!r} of {w.group.datum} is not in the Weyl group of {self.datum}")
 
     def intern(self, table) -> WeylElement:
         el = self._intern.get(table)
@@ -253,8 +262,7 @@ def require_wp(w: WeylElement, p: frozenset[int]) -> None:
 def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
     """Bruhat order by the lifting property: for a right descent k of w,
     u <= w iff min(u, u s_k) <= w s_k."""
-    if u.group is not w.group:
-        raise GroupMismatchError("Bruhat comparison across groups")
+    w.group.require(u)
     while u is not w:
         if u.length >= w.length:
             return False

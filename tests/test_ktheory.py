@@ -119,12 +119,23 @@ def test_gkm_violations_test_each_edge_once_from_its_shorter_end(engine):
     assert e.gkm_violations(KClass(e.datum, cls)) == [(e.W.identity, (1, 0))]
 
 
-def test_gkm_violations_refuses_a_point_of_another_group_of_the_same_datum(engine):
-    # the moment-graph lookup missed it with a bare KeyError
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda e, cls: e.gkm_violations(cls),
+        lambda e, cls: e.multiply(e.schubert_class(e.W.identity), cls),
+        lambda e, cls: e.multiply(cls, e.schubert_class(e.W.identity)),
+        lambda e, cls: e.expand(cls),
+    ],
+    ids=["gkm_violations", "multiply", "multiply-swapped", "expand"],
+)
+def test_class_operations_refuse_a_point_of_another_group_of_the_same_datum(engine, op):
+    # multiply answered {} and expand reported leftover support at e; the
+    # moment-graph lookup of gkm_violations once missed it with a bare KeyError
     e = engine("A2")
     foreign = weyl.WeylGroup(named_datum("A2"))
     with pytest.raises(weyl.GroupMismatchError, match="is not in the Weyl group of A2"):
-        e.gkm_violations(KClass(e.datum, {foreign.identity: e.ring_one()}))
+        op(e, KClass(e.datum, {foreign.identity: e.ring_one()}))
 
 
 def test_demazure_refuses_a_point_of_another_group_of_the_same_datum(engine):
