@@ -120,8 +120,9 @@ class KTEngine:
     def ring_one(self) -> RingElt:
         return RingElt.one(self.rank)
 
-    def _one_minus_e(self, weight_coords) -> RingElt:
-        return self.ring_one() - RingElt.monomial(self.rank, weight_coords)
+    def _one_minus_e(self, beta) -> RingElt:
+        """1 - e^{-beta} for a root beta in simple-root coordinates."""
+        return self.ring_one() - RingElt.monomial(self.rank, tuple(-x for x in rootsys.alpha_to_omega(self.datum, beta)))
 
     # -- Schubert classes -------------------------------------------------------
 
@@ -130,7 +131,7 @@ class KTEngine:
         self.W.require(v)
         out = self.ring_one()
         for beta in v.inversions:
-            out = out * self._one_minus_e(tuple(-x for x in rootsys.alpha_to_omega(self.datum, beta)))
+            out = out * self._one_minus_e(beta)
         return out
 
     def schubert_class(self, v: WeylElement, parabolic=()) -> KClass:
@@ -157,8 +158,7 @@ class KTEngine:
         cols = {W.identity: {W.identity: self.ring_one()}}
         for w in reps[1:]:
             k = w.word[0]
-            alpha = rootsys.alpha_to_omega(datum, rootsys.simple_root(datum, k))
-            one_minus_e = self._one_minus_e(tuple(-x for x in alpha))
+            one_minus_e = self._one_minus_e(rootsys.simple_root(datum, k))
             e = self.ring_one() - one_minus_e  # e^{-alpha_k}
             col: dict[WeylElement, RingElt] = {}
             for x, val in cols[W.left_mult_gen(k, w)].items():
@@ -279,7 +279,7 @@ class KTEngine:
     def divided_difference(self, e: SchubertExpansion, k: int, opposite: bool = False) -> SchubertExpansion:
         """Coefficientwise Hecke move of the basis indices: O^w -> O^{w_k}
         (or O_w -> O_{w^k} on the opposite basis)."""
-        self.W.require(*e.coeffs)
+        self._require_indices(e)
         if not weyl.is_k_free(self.datum, e.parabolic, k):
             raise ValueError(f"divided difference needs a k-free parabolic (k={k})")
         move = weyl.hecke_up if opposite else weyl.hecke_down
@@ -294,7 +294,7 @@ class KTEngine:
         q = weyl.normalize_parabolic(self.datum, bigger)
         if not e.parabolic <= q:
             raise ValueError("pushforward needs a containing parabolic")
-        self.W.require(*e.coeffs)
+        self._require_indices(e)
         out: dict[WeylElement, RingElt] = {}
         for w, cw in e.coeffs.items():
             accumulate(out, weyl.min_coset_rep(w, q), cw)
@@ -306,12 +306,12 @@ class KTEngine:
         p = weyl.normalize_parabolic(self.datum, smaller)
         if not p <= e.parabolic:
             raise ValueError("pullback needs a contained parabolic")
-        self.W.require(*e.coeffs)
+        self._require_indices(e)
         return SchubertExpansion(dict(e.coeffs), p)
 
     def euler_characteristic(self, e: SchubertExpansion) -> RingElt:
         """Pushforward to the point: every basis class integrates to 1."""
-        self.W.require(*e.coeffs)
+        self._require_indices(e)
         total = self.ring_zero()
         for cw in e.coeffs.values():
             total = total + cw
@@ -354,6 +354,13 @@ class KTEngine:
                     if len(bad) >= 4:
                         return bad
         return bad
+
+    def _require_indices(self, e: SchubertExpansion) -> None:
+        """GroupMismatchError unless every index of ``e`` is in this engine's
+        Weyl group, and require_wp's ValueError unless it is in W^P of e's quotient."""
+        self.W.require(*e.coeffs)
+        for w in e.coeffs:
+            weyl.require_wp(w, e.parabolic)
 
     def _require_on(self, c: KClass, p: frozenset[int], op: str) -> None:
         """Raise ValueError unless ``c`` is a class of this engine's datum on

@@ -56,7 +56,8 @@ def _gate(engine: KTEngine, p, k, *points, k_free=False):
     point outside the engine's group and require_wp's ValueError outside W^P."""
     datum = engine.datum
     p = weyl.normalize_parabolic(datum, p)
-    if k_free and not weyl.is_k_free(datum, p, k):
+    pk = weyl.build_Pk(datum, p, k)
+    if k_free and pk != p:
         raise GateError(
             f"parabolic {sorted(p)} is not {k}-free: it contains a node adjacent to "
             f"alpha_{k}, so the space of degree-eps_{k} pointed lines is not the flag "
@@ -71,7 +72,7 @@ def _gate(engine: KTEngine, p, k, *points, k_free=False):
     engine.W.require(*points)
     for x in points:
         require_wp(x, p)
-    return p, weyl.build_Pk(datum, p, k)
+    return p, pk
 
 
 def _pairing(engine: KTEngine, u, v, w, k, pk) -> RingElt:

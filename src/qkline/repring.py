@@ -30,10 +30,9 @@ For an exact quotient the leading term of each partial remainder equals
 ``LT(divisor) * (a term of the quotient)``, so the division terminates after
 one step per quotient term; a remainder that drops below the trailing bound
 proves there is no quotient and raises :class:`NotDivisible`.  Within one
-degree a walk can descend forever, so the quotient term is also checked
-against the bound of the quotient at 64, 128, 256, ... terms, and from step
-``safe`` on (no remainder key can leave its field before) at every term
-against the Newton polytope of any exact quotient: on each axis, the
+degree a walk can descend forever, so from step ``min(64, safe)`` on (no
+remainder key can leave its field before step ``safe``) every quotient term
+is checked against the Newton box of any exact quotient: on each axis, the
 dividend's range minus the divisor's.
 """
 
@@ -183,11 +182,9 @@ class RingElt:
         return RingElt(self.rank, {k: -c for k, c in self._terms.items()}, self._bound)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = RingElt.monomial(self.rank, (0,) * self.rank, other)
-        if not isinstance(other, RingElt):
-            return NotImplemented
-        return self.__add__(other.__neg__())
+        if isinstance(other, (int, RingElt)):
+            return self.__add__(-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (self.__neg__()).__add__(other)
@@ -339,7 +336,7 @@ def exact_divide(a: RingElt, b: RingElt) -> RingElt:
     floor = min(a._terms) - min(bterms)  # packed key of trail(a)/trail(b), off by key0
     safe = (_COORD_OFF - 1 - a._bound) // (2 * b._bound) if b._bound else math.inf
     check_at = min(64, safe)
-    box = [(-bound, bound)] * a.rank  # holds the Newton polytope of any exact quotient
+    box = None  # the Newton box of any exact quotient, once step check_at is reached
     rem = dict(a._terms)
     quo: dict[int, int] = {}
     while rem:
@@ -348,11 +345,10 @@ def exact_divide(a: RingElt, b: RingElt) -> RingElt:
         if t < floor:
             raise NotDivisible("leading term fell below the trailing bound")
         if len(quo) >= check_at:
-            if len(quo) == max(safe, 0):  # from here on every term is checked against the polytope itself
+            if box is None:
                 box = [(la - lb, ha - hb) for (la, ha), (lb, hb) in zip(_axis_ranges(a), _axis_ranges(b))]
             if not all(lo <= x <= hi for x, (lo, hi) in zip(_unpack(a.rank, t + key0), box)):
                 raise NotDivisible("a quotient term lies outside the Newton polytope of any exact quotient")
-            check_at = min(2 * check_at, max(safe, len(quo) + 1))
         c, r = divmod(rem[lead_r], lead_bc)
         if r:
             raise NotDivisible("leading coefficient does not divide")

@@ -210,11 +210,6 @@ def parse_cartan_file(text: str, label=None) -> CartanDatum:
     return cartan_datum(matrix, symm, label)
 
 
-def load_cartan_file(path, label=None) -> CartanDatum:
-    with open(path, encoding="utf-8") as fh:
-        return parse_cartan_file(fh.read(), label)
-
-
 def resolve_group(name: str) -> CartanDatum:
     """Named type label, or a path to a Cartan-matrix file."""
     try:
@@ -224,7 +219,8 @@ def resolve_group(name: str) -> CartanDatum:
     import os
 
     if os.path.exists(name):
-        return load_cartan_file(name, label=name)
+        with open(name, encoding="utf-8") as fh:
+            return parse_cartan_file(fh.read(), label=name)
     raise CartanError(f"{name!r} is neither a type label nor a readable file")
 
 

@@ -274,13 +274,18 @@ def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
 
 def min_coset_rep(w: WeylElement, p) -> WeylElement:
     """The minimal-length representative of w W_P."""
-    p = normalize_parabolic(w.group.datum, p)
+    return _right_walk(w, normalize_parabolic(w.group.datum, p), True)
+
+
+def _right_walk(w: WeylElement, p: frozenset[int], descent: bool) -> WeylElement:
+    """Right-multiply w by s_i, i in p, wherever w has (``descent``) or lacks a
+    right descent at i, in passes over sorted(p) until a pass changes nothing."""
     group = w.group
     changed = True
     while changed:
         changed = False
         for i in sorted(p):
-            if w.has_right_descent(i):
+            if w.has_right_descent(i) == descent:
                 w = group.right_mult_gen(w, i)
                 changed = True
     return w
@@ -331,8 +336,7 @@ def _check_k_not_in_p(datum, p, k):
 
 def is_k_free(datum: CartanDatum, p, k: int) -> bool:
     """True iff Delta_P contains no node adjacent to alpha_k."""
-    p = _check_k_not_in_p(datum, p, k)
-    return all(not rootsys.adjacent(datum, i, k) for i in p)
+    return build_Pk(datum, p, k) == normalize_parabolic(datum, p)
 
 
 def in_class_P(datum: CartanDatum, p, k: int) -> bool:
@@ -359,13 +363,7 @@ def build_P_of_k(datum: CartanDatum, p, k: int) -> frozenset[int]:
 
 def longest_element(group: WeylGroup, p) -> WeylElement:
     """The longest element of the parabolic subgroup W_P."""
-    p = normalize_parabolic(group.datum, p)
-    w = group.identity
-    while True:
-        k = next((i for i in sorted(p) if not w.has_right_descent(i)), None)
-        if k is None:
-            return w
-        w = group.right_mult_gen(w, k)
+    return _right_walk(group.identity, normalize_parabolic(group.datum, p), False)
 
 
 def schubert_preimage(u: WeylElement, q, p) -> WeylElement:

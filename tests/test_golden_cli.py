@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 
 import pytest
@@ -61,6 +62,26 @@ def test_misprint_entry_must_match_row(engine, monkeypatch):
     monkeypatch.setattr(golden, "load_fixture", lambda group: fixture)
     with pytest.raises(ValueError, match="misprint"):
         check_golden_fixture("A2", engine("A2"))
+
+
+def test_misprint_entry_must_change_the_value(engine, monkeypatch):
+    fixture = copy.deepcopy(load_fixture("A2"))
+    fixture["misprints"][0]["consistent"] = fixture["misprints"][0]["printed"]
+    monkeypatch.setattr(golden, "load_fixture", lambda group: fixture)
+    with pytest.raises(ValueError, match="misprint entry does not change the value; remove it"):
+        check_golden_fixture("A2", engine("A2"))
+
+
+def test_comparator_reports_a_fixture_node_the_engine_skipped(engine, monkeypatch):
+    real = golden.qk_product_degree1
+
+    def skipping_every_node(*args):
+        return dataclasses.replace(real(*args), quantum={}, skipped=(1, 2))
+
+    monkeypatch.setattr(golden, "qk_product_degree1", skipping_every_node)
+    res = check_golden_fixture("C2", engine("C2"))
+    assert ("1", "1", "q1", "*", "expected terms", "node skipped") in res.mismatches
+    assert not res.passed and all(m[3] == "*" for m in res.mismatches)
 
 
 # -- command line -----------------------------------------------------------------
@@ -184,6 +205,9 @@ def test_cli_table_latex_shape(capsys):
     assert out.startswith("\\begin{align*}")
     assert "{\\mathcal O}^{s_1}\\circ {\\mathcal O}^{s_1} &\\equiv" in out
     assert "q_1" in out
+    code, out, _ = run_cli(capsys, "table", "--group", "A2", "--u", "e", "--v", "e", "--format", "latex")
+    assert code == 0
+    assert out.splitlines()[1] == "  {\\mathcal O}^{id}\\circ {\\mathcal O}^{id} &\\equiv 1{\\mathcal O}^{id}\\\\"
 
 
 def test_cli_table_pair_filter_and_errors(capsys):
@@ -282,6 +306,15 @@ def test_cli_check_failure_exit_code(capsys, monkeypatch):
     assert code == 1
     recs = [json.loads(line) for line in out.splitlines()]
     assert any(rec["status"] == "fail" for rec in recs)
+
+
+def test_cli_check_exits_1_on_a_failing_sweep(capsys, monkeypatch):
+    from qkline import qklines
+
+    monkeypatch.setattr(qklines, "_fibre_sums", lambda engine, *args: {engine.W.identity: engine.ring_one()})
+    code, out, _ = run_cli(capsys, "check", "--suite", "vanishing", "--group", "A2")
+    assert code == 1
+    assert [json.loads(line)["status"] for line in out.splitlines()] == ["fail", "fail"]
 
 
 def test_cli_group_from_cartan_file(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import itertools
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -361,6 +362,8 @@ def test_pushforward_pullback(engine):
     assert e.pushforward(SchubertExpansion({W.identity: one}), {2}).coeffs == {W.identity: one}
     with pytest.raises(ValueError):
         e.pullback(exp, {2})
+    with pytest.raises(ValueError, match="pushforward needs a containing parabolic"):
+        e.pushforward(over_q, {1})
 
 
 def test_euler_characteristic(engine):
@@ -628,6 +631,24 @@ def test_functoriality_refuses_an_index_of_another_group(engine, op):
     e, x = engine("A4"), KTEngine(named_datum("D4")).W.parse_word("21")
     with pytest.raises(weyl.GroupMismatchError, match="D4 is not in the Weyl group of A4"):
         op(e, SchubertExpansion({x: e.ring_one()}))
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda e, exp: e.pushforward(exp, {1, 2}),
+        lambda e, exp: e.pullback(exp, ()),
+        lambda e, exp: e.euler_characteristic(exp),
+        lambda e, exp: e.divided_difference(exp, 3),
+    ],
+    ids=["pushforward", "pullback", "euler_characteristic", "divided_difference"],
+)
+def test_functoriality_refuses_an_index_outside_wp_of_its_quotient(engine, op):
+    # s1 is no point of G/P for P = {1}: pushforward answered {e: 1}, euler_characteristic 1,
+    # and divided_difference and pullback {s1: 1}
+    e = engine("A3")
+    with pytest.raises(ValueError, match=re.escape("1 is not a minimal representative for [1]")):
+        op(e, SchubertExpansion({e.W.simple(1): e.ring_one()}, frozenset({1})))
 
 
 def test_expand_reads_a_stored_zero_value_as_zero(engine):

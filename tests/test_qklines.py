@@ -430,6 +430,10 @@ def test_cor_xi_sum(engine):
     for w in weyl.enumerate_wp(e.W, {2}):
         val = cor_xi_sum(e, e.W.identity, e.W.identity, w, 1, {2}, ())
         assert val == (e.ring_one() if w is e.W.identity else e.ring_zero())
+    # a k-free q that is not inside p is no refinement of it
+    a3 = engine("A3")
+    with pytest.raises(ValueError, match="the refinement must be contained in the parabolic"):
+        cor_xi_sum(a3, a3.W.simple(1), a3.W.simple(1), a3.W.identity, 1, (), {3})
 
 
 def test_cor_xi_sum_matches_general_first_sum(engine):
@@ -585,6 +589,101 @@ def test_peterson_sweep_reports_failures_then_summary(engine, monkeypatch):
     assert [(r.check, r.status, r.details) for r in reports] == [
         ("peterson", "pass", {"triples_checked": len(reps) ** 3})
     ]
+
+
+def _wrong_sign_constants(engine, u, v, k, p, pk):
+    """A stand-in for _fibre_sums: N_{u,v}^{e,k} = -(-1)^{l(u)+l(v)}, never zero and
+    always of the wrong sign, so every pair is a vanishing and a sign witness."""
+    return {engine.W.identity: engine.ring_one() * (1 if (u.length + v.length) % 2 else -1)}
+
+
+def test_vanishing_and_sign_sweeps_report_their_first_eight_witnesses(engine, monkeypatch):
+    from qkline import qklines
+
+    e = engine("A2")
+    reps = weyl.enumerate_wp(e.W, ())
+    monkeypatch.setattr(qklines, "_fibre_sums", _wrong_sign_constants)
+
+    def val(u, v):
+        return _wrong_sign_constants(e, u, v, 1, (), ())[e.W.identity]
+
+    rep = vanishing_check(e, (), 1)
+    fixed = [(u, v) for u in reps for v in reps if weyl.hecke_down(u, 1) is u or weyl.hecke_down(v, 1) is v]
+    want = sorted((u.word_str, v.word_str, "e", repr(val(u, v))) for u, v in fixed)
+    assert (rep.status, rep.details) == ("fail", {"pairs_checked": len(fixed)})
+    assert len(want) > 8 and rep.witnesses == tuple(want[:8])
+
+    rep = sign_check(e, (), 1)
+    pairs = [(u, v) for i, u in enumerate(reps) for v in reps[i:]]
+    want = sorted((u.word_str, v.word_str, "e", str(val(u, v).specialize_to_one())) for u, v in pairs)
+    assert (rep.status, rep.details) == ("fail", {"pairs_checked": len(pairs)})
+    assert len(want) > 8 and rep.witnesses == tuple(want[:8])
+
+
+def test_positivity_reports_a_constant_outside_the_subring(engine, monkeypatch):
+    from qkline import qklines
+
+    e = engine("A2")
+    up = elt(e, "e(a1)")  # a positive exponent: not a polynomial in the e^{-alpha_i} - 1
+    monkeypatch.setattr(qklines, "_fibre_sums", lambda engine, *args: {engine.W.identity: up})
+    rep = equivariant_positivity_diagnostic(e, (), 1)
+    reps = weyl.enumerate_wp(e.W, ())
+    want = sorted((u.word_str, v.word_str, "e", "not in subring") for i, u in enumerate(reps) for v in reps[i:])
+    assert (rep.status, rep.details) == ("diagnostic", {"conforming": 0, "nonconforming": len(want)})
+    assert rep.witnesses == tuple(want[:8])
+
+
+def test_peterson_sweep_reports_each_failing_triple(engine, monkeypatch):
+    from qkline import qklines
+
+    e = engine("A2")
+    reps = weyl.enumerate_wp(e.W, {2})
+    count = itertools.count()
+    # lhs, mid and rhs of each triple come out 3n, 3n + 1 and 3n + 2: they never agree
+    monkeypatch.setattr(qklines, "_pairing", lambda engine, *args: engine.ring_one() * next(count))
+    reports = qklines.peterson_sweep(e, {2}, 1)
+    triples = list(itertools.product(reps, repeat=3))
+    assert len(reports) == len(triples) + 1
+    for n, ((u, v, w), rep) in enumerate(zip(triples, reports)):
+        values = tuple(repr(e.ring_one() * (3 * n + i)) for i in range(3))
+        assert (rep.check, rep.status, rep.k, rep.parabolic) == ("peterson", "fail", 1, (2,))
+        assert rep.witnesses == ((u.word_str, v.word_str, w.word_str) + values,)
+        assert rep.details == {"u": u.word_str, "v": v.word_str, "w": w.word_str}
+    assert (reports[-1].status, reports[-1].details) == ("pass", {"triples_checked": len(triples)})
+
+
+@pytest.mark.parametrize("fault", ["class", "triangularity", "diagonal"])
+def test_gkm_check_reports_each_witness_kind(engine, monkeypatch, fault):
+    from qkline import qklines
+    from qkline.ktheory import KTEngine
+
+    e = engine("A2")
+    elements = e.W.elements()
+    if fault == "class":
+        calls = []
+
+        def violations(self, c):
+            calls.append(c)
+            return [(self.W.identity, (1, 0))]
+
+        monkeypatch.setattr(KTEngine, "gkm_violations", violations)
+        rep = qklines.gkm_check(e)
+        # six class witnesses, then one per product until more than eight: the third product stops the sweep
+        assert len(calls) == len(elements) + 3
+        products = list(itertools.combinations_with_replacement(elements, 2))[:3]
+        bad = [(v.word_str, "class", "e", "(1, 0)") for v in elements]
+        bad += [(u.word_str, v.word_str, "e", "(1, 0)") for u, v in products]
+    elif fault == "triangularity":
+        monkeypatch.setattr(qklines, "bruhat_leq", lambda u, w: False)
+        rep = qklines.gkm_check(e)
+        points = [(v, w) for v in elements for w in e.schubert_class(v).restrictions]
+        bad = [(v.word_str, "triangularity", w.word_str, "") for v, w in points]
+    else:
+        monkeypatch.setattr(KTEngine, "diagonal_value", lambda self, v: self.ring_zero())
+        rep = qklines.gkm_check(e)
+        bad = [(v.word_str, "diagonal", v.word_str, "") for v in elements]
+    assert (rep.check, rep.status, rep.details) == ("gkm", "fail", {"classes": len(elements)})
+    assert rep.witnesses == tuple(sorted(bad)[:8])
 
 
 def test_sweep_reports_keep_eight_sorted_witnesses(engine):

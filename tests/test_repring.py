@@ -107,12 +107,14 @@ def test_exact_divide_examples():
         exact_divide(RingElt.one(2) - e(A2, -1, 0), RingElt.one(2) - e(A2, 0, -1))
     with pytest.raises(ZeroDivisionError):
         exact_divide(one, RingElt.zero(1))
+    with pytest.raises(NotDivisible, match="leading coefficient does not divide"):
+        exact_divide(2 * one, 3 * one)
 
 
 def test_exact_divide_checks_long_walks():
     m = lambda c: RingElt.monomial(3, c)  # noqa: E731
     one, step = m((0, 0, 0)), m((0, -1, 1))
-    # 300 quotient terms pass the checks at 64, 128 and 256 terms
+    # 300 quotient terms pass the Newton-box check at every term from the 64th on
     assert len(exact_divide(one - m((0, -300, 300)), one - step)) == 300
     # near the edge of a field every term is checked, and exact quotients pass
     top = m((2**23 - 4, 0, 0))
@@ -304,6 +306,8 @@ def test_parse_expression():
         # digits are ASCII: a superscript, an Arabic-Indic and a fullwidth digit
         ("\u00b2", "unexpected character"), ("\u0663", "unexpected character"),
         ("3*e(a\uff11)", "unexpected character"),
+        ("(1", "parse error in '\\(1' at token None"), ("e(2)", "expected a simple-root symbol"),
+        ("1)", "trailing tokens"),
     ]:
         with pytest.raises(ValueError, match=message):
             parse_expression(A2, text)

@@ -3,7 +3,7 @@ import re
 import pytest
 
 from qkline import rootsys
-from qkline.repring import RingElt, weyl_act
+from qkline.repring import RingElt, simple_reflection, weyl_act
 from qkline.rootsys import (
     CartanError,
     _inverse_cartan,
@@ -109,6 +109,12 @@ def test_conversions_refuse_coordinates_of_the_wrong_length(convert, coords):
             "rank mismatch between ring element and root datum",
             id="identity-act_weight",
         ),
+        pytest.param(
+            lambda d, c: simple_reflection(RingElt.monomial(len(c), c), d, 1),
+            (1, 0, 5),
+            "rank mismatch between ring element and root datum",
+            id="simple_reflection",
+        ),
         pytest.param(lambda d, c: WeylGroup.for_datum(d).simple(1).apply_to_root(c), (1,), None, id="apply_to_root"),
         pytest.param(lambda d, c: rootsys.root_pairing(d, c, (1, 0)), (1, 0, 7), None, id="root_pairing-gamma"),
         pytest.param(lambda d, c: rootsys.root_pairing(d, (1, 0), c), (1,), None, id="root_pairing-beta"),
@@ -178,6 +184,11 @@ def test_rejects_non_cartan_input():
             cartan_datum(pivot_at_most_zero)
     with pytest.raises(CartanError):
         cartan_datum([[1]])
+    for symmetrizer in ((1, 0), (1,)):
+        with pytest.raises(CartanError, match="symmetrizer must consist of positive integers"):
+            cartan_datum([[2, -1], [-1, 2]], symmetrizer)
+    with pytest.raises(CartanError, match="symmetrizer does not symmetrize the Cartan matrix"):
+        cartan_datum([[2, -1], [-1, 2]], (1, 2))
 
 
 def test_ragged_matrix_is_refused_for_its_shape():
@@ -190,6 +201,27 @@ def test_named_type_errors():
     for bad in ("H3", "B1", "Q2", "E9", "", "A٣", "a٢", "C²"):
         with pytest.raises(CartanError):
             named_datum(bad)
+
+
+@pytest.mark.parametrize(
+    "label, message",
+    [
+        ("A0", "bad rank in 'A0'"),
+        ("C1", "type C needs rank >= 2"),
+        ("D2", "type D needs rank >= 3"),
+        ("F3", "type F needs rank 4"),
+        ("G3", "type G needs rank 2"),
+    ],
+)
+def test_named_type_ranks_outside_the_family_are_refused(label, message):
+    with pytest.raises(CartanError, match=re.escape(message)):
+        named_datum(label)
+
+
+def test_root_pairing_refuses_a_beta_that_is_not_a_root():
+    # 2 alpha_1 is no root of A2: <alpha_2, (2 alpha_1)^vee> = -1/2
+    with pytest.raises(ValueError, match="pairing is not integral; beta is not a root"):
+        rootsys.root_pairing(named_datum("A2"), (0, 1), (2, 0))
 
 
 @pytest.mark.parametrize(

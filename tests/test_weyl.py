@@ -133,6 +133,12 @@ def test_parse_digits_reads_ascii_digits_only():
             weyl.parse_digits(text)
 
 
+@pytest.mark.parametrize("node", [0, 4])
+def test_normalize_parabolic_refuses_nodes_out_of_range(node):
+    with pytest.raises(IndexError, match=f"parabolic node {node} out of range 1..3"):
+        weyl.normalize_parabolic(named_datum("A3"), (1, node))
+
+
 @pytest.mark.parametrize("nodes, named", [([1.7], "1.7"), ([2.0], "2.0"), ("13", "'1'")])
 def test_normalize_parabolic_takes_integers_only(engine, nodes, named):
     with pytest.raises(TypeError, match=re.escape(f"{named} is not an integer")):
