@@ -38,11 +38,12 @@ expansion (``pullback``, ``pushforward``).
 
 Structure constants for a parabolic quotient are computed on G/P: the
 pointwise product of ``O^u`` and ``O^v`` and the triangular solve against
-the diagonal values visit the ``W^P`` points only.  A class on G/P has no
-values elsewhere, so the solve's leftover check at those points is the
-whole check.  The Borel quotient (``P`` empty) is the case in which nothing
-is restricted.  The pushforward to a point is the sum of expansion
-coefficients, because every Schubert class has sheaf Euler characteristic 1.
+the diagonal values visit the ``W^P`` points only.  The operations refuse a
+class with a point outside ``W^P``, so the solve visits every point a class
+has, and a class that divides at each of them is in the span.  The Borel
+quotient (``P`` empty) is the case in which nothing is restricted.  The
+pushforward to a point is the sum of expansion coefficients, because every
+Schubert class has sheaf Euler characteristic 1.
 
 All caches are append-only with value-identical recomputation, and the solve
 mutates only residuals it created: the engine may be shared across threads.
@@ -245,12 +246,6 @@ class KTEngine:
             for w, ov in cls.restrictions.items():
                 if w is not v:  # exact_divide returned, so the residual at v is exactly 0
                     subtract_product(resid[w], cv, ov)
-        bad = sorted((w for w, r in resid.items() if r), key=lambda w: w.sort_key)
-        if bad:
-            raise ExpansionError(
-                "class is not in the Schubert span of its quotient; leftover support at "
-                + ", ".join(w.word_str for w in bad[:4])
-            )
         return SchubertExpansion(coeffs, p)
 
     def schubert_class_of_expansion(self, e: SchubertExpansion) -> KClass:
@@ -365,10 +360,12 @@ class KTEngine:
     def _require_on(self, c: KClass, p: frozenset[int], op: str) -> None:
         """Raise ValueError unless ``c`` is a class of this engine's datum on
         G/P (the moment-graph operations walk the edges of G/B, so they ask
-        for P empty) whose points are in this engine's Weyl group."""
+        for P empty) whose points are in this engine's Weyl group and W^P."""
         if c.datum != self.datum:
             raise weyl.GroupMismatchError(f"{op} on {self.datum} takes classes of {self.datum}, not of {c.datum}")
         if c.parabolic != p:
             want, got = (f"G/P for P = {sorted(q)}" if q else "G/B" for q in (p, c.parabolic))
             raise ValueError(f"{op} acts on classes on {want}, not on {got}")
         self.W.require(*c.restrictions)
+        for x in c.restrictions if p else ():
+            weyl.require_wp(x, p)

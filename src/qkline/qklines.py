@@ -31,13 +31,14 @@ operation below refuses such input rather than extrapolate.  The same gate
 checks that every index the operation takes, those of kgw3's F included, is
 in the engine's own Weyl group and in W^P: each statement holds only for
 minimal coset representatives.  Every call path decides this once: a public
-operation gates, then calls ``_pairing`` or ``_fibre_sums``, which check nothing.
+operation gates, then calls ``_pairing_row`` or ``_fibre_sums``, unchecked.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, replace
 
 from . import repring, weyl
@@ -75,12 +76,18 @@ def _gate(engine: KTEngine, p, k, *points, k_free=False):
     return p, pk
 
 
-def _pairing(engine: KTEngine, u, v, w, k, pk) -> RingElt:
-    """The pairing against O^w: sum_x c_{u_k,v_k}^x chi(O^x . O^w) on G/P_k."""
-    total = engine.ring_zero()
-    for x, cx in engine.structure_constants(hecke_down(u, k), hecke_down(v, k), pk).coeffs.items():
-        total = total + cx * engine.euler_characteristic(engine.structure_constants(x, w, pk))
-    return total
+def _pairing_row(engine: KTEngine, u, v, k, pk, ws, chi: dict) -> Iterator[RingElt]:
+    """For each w of ws, the pairing against O^w: sum_x c_{u_k,v_k}^x chi(O^x . O^w)
+    on G/P_k, chi read from the caller's table by (x, w, P_k), filled on a miss."""
+    up = engine.structure_constants(hecke_down(u, k), hecke_down(v, k), pk).coeffs
+    for w in ws:
+        total = engine.ring_zero()  # owned here: the products are added into it in place
+        for x, cx in up.items():
+            c = chi.get((x, w, pk))
+            if c is None:
+                c = chi[(x, w, pk)] = engine.euler_characteristic(engine.structure_constants(x, w, pk))
+            repring.subtract_product(total, cx, c, 1)
+        yield total
 
 
 def _fibre_sums(engine: KTEngine, u, v, k, p, pk) -> dict[WeylElement, RingElt]:
@@ -158,11 +165,12 @@ def boundary_projected_gw(engine: KTEngine, u: WeylElement, v: WeylElement, k: i
 def kgw3(engine: KTEngine, u: WeylElement, v: WeylElement, f: SchubertExpansion, k: int, p=()) -> RingElt:
     """Three-point degree-eps_k invariant against F = sum_w f_w O^w on the
     same quotient, F's indices gated with u and v: sum_w f_w times the pairing
-    on the k-free reduction G/P_k, where F's pullback has the same indices."""
+    row over F's indices on the k-free reduction G/P_k, where F's pullback has them."""
     p, pk = _gate(engine, p, k, u, v, *f.coeffs)
     if f.parabolic != p:
         raise ValueError(f"kgw3 on G/P for P = {sorted(p)} takes a class on it, not on P = {sorted(f.parabolic)}")
-    return sum((fw * _pairing(engine, u, v, w, k, pk) for w, fw in f.coeffs.items()), engine.ring_zero())
+    row = _pairing_row(engine, u, v, k, pk, f.coeffs, {})
+    return sum((fw * val for fw, val in zip(f.coeffs.values(), row)), engine.ring_zero())
 
 
 def kgw2(engine: KTEngine, z: WeylElement, w: WeylElement, k: int, p=()) -> RingElt:
@@ -342,30 +350,44 @@ def equivariant_positivity_diagnostic(engine: KTEngine, p, k) -> CheckReport:
     return replace(report, status="diagnostic")  # reported, never failed
 
 
+def _peterson_failures(engine: KTEngine, u, v, k, pk, ws, chi: dict) -> dict:
+    """{w: (lhs, mid, rhs)} where the rows against O^w on G/P_k, O^w on G/B and
+    O^{w w_{P_k}} on G/B disagree; with P_k empty the three are one call, made once."""
+    wpk = weyl.longest_element(engine.W, pk)
+    lhs = list(_pairing_row(engine, u, v, k, pk, ws, chi))
+    mid = _pairing_row(engine, u, v, k, frozenset(), ws, chi) if pk else lhs  # G/B is its own k-free reduction
+    rhs = _pairing_row(engine, u, v, k, frozenset(), [w * wpk for w in ws], chi) if pk else lhs
+    return {w: (a, b, c) for w, a, b, c in zip(ws, lhs, mid, rhs) if not a == b == c}
+
+
+def _peterson_report(engine: KTEngine, p, k, u, v, w, failure) -> CheckReport:
+    """One triple's report: failing, with (u, v, w, lhs, mid, rhs), when ``failure`` holds the values."""
+    witnesses = [(u.word_str, v.word_str, w.word_str, *map(repr, failure))] if failure else []
+    return _report("peterson", engine, p, k, witnesses, {"u": u.word_str, "v": v.word_str, "w": w.word_str})
+
+
 def peterson_check(engine: KTEngine, p, k, u, v, w) -> CheckReport:
     """Quotient-to-full-flag comparison of kgw3 against O^w on G/P, O^w on G/B
-    and O^{w w_{P_k}} on G/B: one gate, then one pairing on G/P_k once and on G/B
-    twice.  With P_k empty the three are one sum computed three times and the
-    check cannot fail: A3/{1,3} at k = 2, A3/{2} at both nodes."""
+    and O^{w w_{P_k}} on G/B: one gate, then the three pairing rows over the
+    one index w.  With P_k empty the three are one sum computed three times and
+    the check cannot fail: A3/{1,3} at k = 2, A3/{2} at both nodes."""
     p, pk = _gate(engine, p, k, u, v, w)
-    lhs = _pairing(engine, u, v, w, k, pk)
-    mid = _pairing(engine, u, v, w, k, frozenset())  # G/B is its own k-free reduction
-    rhs = _pairing(engine, u, v, w * weyl.longest_element(engine.W, pk), k, frozenset())
-    ok = lhs == mid == rhs
-    witnesses = [] if ok else [(u.word_str, v.word_str, w.word_str, repr(lhs), repr(mid), repr(rhs))]
-    return _report("peterson", engine, p, k, witnesses, {"u": u.word_str, "v": v.word_str, "w": w.word_str})
+    return _peterson_report(engine, p, k, u, v, w, _peterson_failures(engine, u, v, k, pk, [w], {}).get(w))
 
 
 def peterson_sweep(engine: KTEngine, p, k) -> list[CheckReport]:
     """peterson_check on every triple of minimal representatives: the reports
-    of the failing triples, then one summary counting the triples."""
-    p = weyl.normalize_parabolic(engine.datum, p)
+    of the failing triples in (u, v, w) order, then one summary counting the
+    triples.  One gate; the values depend on u, v only through {u_k, v_k}, so
+    each distinct pair gets one row over W^P, with one chi table per sweep."""
+    p, pk = _gate(engine, p, k)
     reps = weyl.enumerate_wp(engine.W, p)
-    reports = []
-    for u, v, w in itertools.product(reps, repeat=3):
-        rep = peterson_check(engine, p, k, u, v, w)
-        if not rep.passed:
-            reports.append(rep)
+    chi, failures, reports = {}, {}, []
+    for u, v in itertools.product(reps, repeat=2):
+        key = frozenset((hecke_down(u, k), hecke_down(v, k)))  # c_{u_k,v_k} = c_{v_k,u_k}
+        if key not in failures:  # only the row's failures are kept
+            failures[key] = _peterson_failures(engine, u, v, k, pk, reps, chi)
+        reports.extend(_peterson_report(engine, p, k, u, v, w, failure) for w, failure in failures[key].items())
     reports.append(_report("peterson", engine, p, k, (), {"triples_checked": len(reps) ** 3}))
     return reports
 

@@ -243,7 +243,8 @@ def _edge_bound(a: RingElt, b: RingElt, sign: int) -> int:
 def subtract_product(acc: RingElt, a: RingElt, b: RingElt, sign: int = -1) -> None:
     """``acc -= a * b`` in place (``+=`` for sign 1), with no temporary product;
     a ValueError from the bound check leaves ``acc`` as it was.  Callers own
-    ``acc``: a fresh zero in ``__mul__``, a residual in ``KTEngine.expand``."""
+    ``acc``: a fresh zero in ``__mul__`` and in ``qklines._pairing_row``, a
+    residual in ``KTEngine.expand``."""
     a._check(b)
     acc._check(a)
     bound = a._bound + b._bound

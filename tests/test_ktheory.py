@@ -139,6 +139,23 @@ def test_class_operations_refuse_a_point_of_another_group_of_the_same_datum(engi
         op(e, KClass(e.datum, {foreign.identity: e.ring_one()}))
 
 
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda e, cls: e.multiply(cls, cls),
+        lambda e, cls: e.multiply(e.schubert_class(e.W.identity, cls.parabolic), cls),
+        lambda e, cls: e.expand(cls),
+    ],
+    ids=["multiply", "multiply-swapped", "expand"],
+)
+def test_class_operations_refuse_a_point_outside_wp_of_its_quotient(engine, op):
+    # s1 is no point of G/P for P = {1}: the square stored 1 at s1, where value(s1)
+    # reads 0, and expand reported leftover support at 1
+    e = engine("A3")
+    with pytest.raises(ValueError, match=re.escape("1 is not a minimal representative for [1]")):
+        op(e, KClass(e.datum, {e.W.simple(1): e.ring_one()}, frozenset({1})))
+
+
 def test_demazure_refuses_a_point_of_another_group_of_the_same_datum(engine):
     # it answered {s1: 1} for the foreign s1, where the engine's own s1 gives {s1: 1, e: 1}
     e = engine("A2")
@@ -244,9 +261,9 @@ def test_expand_not_in_span_raises(engine):
     on_quotient = KClass(e.datum, {e.W.simple(1): e.ring_one()}, frozenset({2}))
     with pytest.raises(ExpansionError, match="not divisible"):
         e.expand(on_quotient)
-    # a value at s2, which is not a point of G/{2}, is left over
+    # a value at s2, which is not a point of G/{2}, is refused before the solve
     off_quotient = KClass(e.datum, {e.W.simple(2): e.ring_one()}, frozenset({2}))
-    with pytest.raises(ExpansionError, match="leftover support at 2"):
+    with pytest.raises(ValueError, match=re.escape("2 is not a minimal representative for [2]")):
         e.expand(off_quotient)
     # a function violating divisibility fails during the solve
     broken = KClass(e.datum, {e.W.simple(1): e.ring_one()})

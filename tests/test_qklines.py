@@ -23,7 +23,8 @@ from qkline import (
     vanishing_check,
     weyl,
 )
-from qkline.ktheory import SchubertExpansion
+from qkline.ktheory import KTEngine, SchubertExpansion
+from qkline.qklines import CheckReport, peterson_sweep
 from qkline.repring import parse_expression
 from qkline.rootsys import named_datum
 from qkline.weyl import WeylGroup
@@ -348,20 +349,11 @@ def test_each_operation_decides_its_hypothesis_once(engine, monkeypatch, name):
     assert len(calls) == _GATE_CALLS.get(name, 1)
 
 
-@pytest.mark.parametrize("sweep", [vanishing_check, sign_check, equivariant_positivity_diagnostic])
+@pytest.mark.parametrize("sweep", [vanishing_check, sign_check, equivariant_positivity_diagnostic, peterson_sweep])
 def test_each_pair_sweep_gates_once(engine, monkeypatch, sweep):
     calls = _count_gates(monkeypatch)
     sweep(engine("A3"), {3}, 1)
     assert len(calls) == 1
-
-
-def test_peterson_sweep_gates_once_per_triple(engine, monkeypatch):
-    from qkline import qklines
-
-    e = engine("A3")
-    calls = _count_gates(monkeypatch)
-    qklines.peterson_sweep(e, {3}, 1)
-    assert len(calls) == len(weyl.enumerate_wp(e.W, {3})) ** 3
 
 
 def test_kgw3_refuses_a_class_index_outside_wp(engine):
@@ -571,24 +563,26 @@ def test_report_json_leaves_out_empty_details():
 
 
 
-def test_peterson_sweep_reports_failures_then_summary(engine, monkeypatch):
-    from qkline import qklines
+def _per_triple_reports(e, p, k):
+    """What peterson_sweep reports, from peterson_check on each triple in
+    (u, v, w) order: the failing reports, then the summary."""
+    reps = weyl.enumerate_wp(e.W, p)
+    reports = [peterson_check(e, p, k, *t) for t in itertools.product(reps, repeat=3)]
+    details = {"triples_checked": len(reps) ** 3}
+    summary = CheckReport("peterson", str(e.datum), tuple(sorted(p)), k, "pass", (), details)
+    return [rep for rep in reports if not rep.passed] + [summary]
 
-    e = engine("A2")
-    reps = weyl.enumerate_wp(e.W, {2})
-    calls = []
-    real = qklines.peterson_check
 
-    def counted(*args):
-        calls.append(args[3:])
-        return real(*args)
-
-    monkeypatch.setattr(qklines, "peterson_check", counted)
-    reports = qklines.peterson_sweep(e, {2}, 1)
-    assert calls == list(itertools.product(reps, repeat=3))  # once per triple
-    assert [(r.check, r.status, r.details) for r in reports] == [
-        ("peterson", "pass", {"triples_checked": len(reps) ** 3})
-    ]
+def test_peterson_sweep_reports_failures_then_summary(engine):
+    # P_k is empty on A2/{2} at k = 1 and equals P on A3/{3} at k = 1 and A3/{1} at k = 3
+    for group, p, k, pk in (("A2", {2}, 1, set()), ("A3", {3}, 1, {3}), ("A3", {1}, 3, {1})):
+        e = engine(group)
+        assert weyl.build_Pk(e.datum, p, k) == pk
+        reports = peterson_sweep(e, p, k)
+        assert reports == _per_triple_reports(e, p, k)
+        assert [(r.status, r.details) for r in reports] == [
+            ("pass", {"triples_checked": len(weyl.enumerate_wp(e.W, p)) ** 3})
+        ]
 
 
 def _wrong_sign_constants(engine, u, v, k, p, pk):
@@ -633,23 +627,25 @@ def test_positivity_reports_a_constant_outside_the_subring(engine, monkeypatch):
     assert rep.witnesses == tuple(want[:8])
 
 
-def test_peterson_sweep_reports_each_failing_triple(engine, monkeypatch):
-    from qkline import qklines
-
-    e = engine("A2")
-    reps = weyl.enumerate_wp(e.W, {2})
-    count = itertools.count()
-    # lhs, mid and rhs of each triple come out 3n, 3n + 1 and 3n + 2: they never agree
-    monkeypatch.setattr(qklines, "_pairing", lambda engine, *args: engine.ring_one() * next(count))
-    reports = qklines.peterson_sweep(e, {2}, 1)
-    triples = list(itertools.product(reps, repeat=3))
-    assert len(reports) == len(triples) + 1
-    for n, ((u, v, w), rep) in enumerate(zip(triples, reports)):
-        values = tuple(repr(e.ring_one() * (3 * n + i)) for i in range(3))
-        assert (rep.check, rep.status, rep.k, rep.parabolic) == ("peterson", "fail", 1, (2,))
-        assert rep.witnesses == ((u.word_str, v.word_str, w.word_str) + values,)
-        assert rep.details == {"u": u.word_str, "v": v.word_str, "w": w.word_str}
-    assert (reports[-1].status, reports[-1].details) == ("pass", {"triples_checked": len(triples)})
+def test_peterson_sweep_reports_each_failing_triple():
+    # a fault in one structure constant of G/P_k, P_k = {3} on A3/{3} at k = 1, seen by the quotient side only
+    e = KTEngine(named_datum("A3"))  # its memo is perturbed: not the shared engine
+    p = frozenset({3})
+    s1, s2 = e.W.simple(1), e.W.simple(2)
+    good = e.structure_constants(s1, s2, p)
+    bad = dict(good.coeffs)
+    bad[e.W.identity] = e.ring_one()  # O^{s1} . O^{s2} has no O^e term on G/P_k
+    e._constants[(s1, s2, p)] = SchubertExpansion(bad, p)
+    reports = peterson_sweep(e, p, 1)
+    assert reports == _per_triple_reports(e, p, 1)
+    failing = reports[:-1]
+    reps = weyl.enumerate_wp(e.W, p)
+    assert 0 < len(failing) < len(reps) ** 3
+    for rep in failing:
+        assert (rep.check, rep.status, rep.k, rep.parabolic) == ("peterson", "fail", 1, (3,))
+        (witness,) = rep.witnesses
+        assert witness[:3] == (rep.details["u"], rep.details["v"], rep.details["w"])
+        assert witness[3] != witness[4] == witness[5]  # the quotient value against the full flag
 
 
 @pytest.mark.parametrize("fault", ["class", "triangularity", "diagonal"])
