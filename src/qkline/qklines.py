@@ -40,8 +40,9 @@ import itertools
 import json
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, replace
+from functools import lru_cache
 
-from . import repring, weyl
+from . import repring, rootsys, weyl
 from .ktheory import KTEngine, SchubertExpansion
 from .repring import RingElt
 from .weyl import WeylElement, bruhat_leq, hecke_down, hecke_up, min_coset_rep, require_wp
@@ -55,16 +56,15 @@ def _gate(engine: KTEngine, p, k, *points, k_free=False):
     """(P, P_k) once (P, alpha_k) is admissible, or k-free if ``k_free`` (then
     P_k = P): a GateError for the hypothesis, then GroupMismatchError for a
     point outside the engine's group and require_wp's ValueError outside W^P."""
-    datum = engine.datum
-    p = weyl.normalize_parabolic(datum, p)
-    pk = weyl.build_Pk(datum, p, k)
+    p = weyl.normalize_parabolic(engine.datum, p)
+    pk, admissible = _gate_decision(engine.datum, p, rootsys.as_int(k))  # as_int: 1.0 must not hit 1's entry
     if k_free and pk != p:
         raise GateError(
             f"parabolic {sorted(p)} is not {k}-free: it contains a node adjacent to "
             f"alpha_{k}, so the space of degree-eps_{k} pointed lines is not the flag "
             "manifold itself"
         )
-    if not k_free and not weyl.in_class_P(datum, p, k):
+    if not k_free and not admissible:
         raise GateError(
             f"pair (P={sorted(p)}, alpha_{k}) is not admissible: alpha_{k} is short and "
             f"its component inside Delta_P + {{alpha_{k}}} is not simply laced; the "
@@ -74,6 +74,12 @@ def _gate(engine: KTEngine, p, k, *points, k_free=False):
     for x in points:
         require_wp(x, p)
     return p, pk
+
+
+@lru_cache(maxsize=None)
+def _gate_decision(datum, p: frozenset[int], k: int) -> tuple[frozenset[int], bool]:
+    """(P_k, whether (P, alpha_k) is admissible) for a normalised P and an integer k."""
+    return weyl.build_Pk(datum, p, k), weyl.in_class_P(datum, p, k)
 
 
 def _pairing_row(engine: KTEngine, u, v, k, pk, ws, chi: dict) -> Iterator[RingElt]:

@@ -431,8 +431,17 @@ def rewrite_in_shifted_basis(a: RingElt, datum: CartanDatum) -> dict[tuple[int, 
 def _root_terms(a: RingElt, datum: CartanDatum):
     """(simple-root coordinates, or None off the root lattice, exponent,
     coefficient) for each term of ``a``, graded-lex descending."""
-    for lam, coeff in a.terms():
-        yield rootsys.omega_to_alpha(datum, lam), lam, coeff
+    if a.rank != datum.rank:  # the memo reads every key at the datum's rank
+        raise ValueError("rank mismatch between ring element and root datum")
+    for key, coeff in sorted(a._terms.items(), reverse=True):
+        yield *_exponent(datum, key), coeff
+
+
+@lru_cache(maxsize=None)
+def _exponent(datum: CartanDatum, key: int):
+    """(simple-root coordinates, or None off the root lattice, exponent) of a packed key."""
+    lam = _unpack(datum.rank, key)
+    return rootsys.omega_to_alpha(datum, lam), lam
 
 
 def to_pairs(a: RingElt, datum: CartanDatum):

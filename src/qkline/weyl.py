@@ -4,7 +4,9 @@ An element is stored by its root-image table: the tuple
 ``(w(alpha_1), ..., w(alpha_r))`` of images of the simple roots, each in
 simple-root coordinates.  A group interns its elements by table, so one
 table gives one object: equality and hashing are object identity, and
-per-element caches (reduced word, inversions) are shared.
+per-element caches are shared: the reduced word, the inversions, the descent
+flags and the neighbours ``w s_k`` and ``s_k w``.  A node's flag or neighbour
+is read only after ``rootsys.check_index``: node 0 or -1 would read from the end.
 
 Words are exchanged with the outside world as digit strings: ``"121"`` means
 ``s_1 s_2 s_1`` (applied right to left as maps), ``"e"`` or ``""`` is the
@@ -17,9 +19,9 @@ elements of a group.  Products, Bruhat comparisons and every engine
 operation call it, and it raises ``GroupMismatchError`` with one message.
 
 Immutability: elements never change after interning.  The memo cache of
-coset enumerations (W itself is the one for P empty) only ever grows, and a
-recomputed entry is identical to the cached one, so concurrent readers are
-safe; writers at worst repeat work.
+coset enumerations (W itself is the one for P empty) and the per-element
+caches only ever grow, and a recomputed entry is identical to the cached one,
+so concurrent readers are safe; writers at worst repeat work.
 """
 
 from __future__ import annotations
@@ -50,13 +52,14 @@ class WeylElement:
     ``from_word``, ``parse_word``), so one table is one object, and equality
     and hashing are the default object identity."""
 
-    __slots__ = ("group", "table", "_word", "_inversions")
+    __slots__ = ("group", "table", "_word", "_inversions", "_right_descents", "_left_descents", "_right", "_left")
 
     def __init__(self, group: "WeylGroup", table: tuple[tuple[int, ...], ...]):
         self.group = group
         self.table = table
-        self._word = None
-        self._inversions = None
+        self._word = self._inversions = self._left_descents = None
+        self._right_descents = tuple(any(x < 0 for x in col) for col in table)
+        self._right, self._left = [None] * group.rank, [None] * group.rank  # w s_k and s_k w at k - 1
 
     def __repr__(self):
         return f"W[{self.word_str}]"
@@ -96,14 +99,18 @@ class WeylElement:
     def has_right_descent(self, k: int) -> bool:
         """ell(w s_k) < ell(w), read off the sign of w(alpha_k)."""
         rootsys.check_index(self.group.datum, k)
-        return any(x < 0 for x in self.table[k - 1])
+        return self._right_descents[k - 1]
 
     def right_descents(self) -> tuple[int, ...]:
         return tuple(k for k in range(1, self.group.rank + 1) if self.has_right_descent(k))
 
     def has_left_descent(self, k: int) -> bool:
-        """ell(s_k w) < ell(w) iff alpha_k is an inversion of w."""
-        return rootsys.simple_root(self.group.datum, k) in self.inversions
+        """ell(s_k w) < ell(w) iff alpha_k is an inversion of w, one of height one."""
+        rootsys.check_index(self.group.datum, k)
+        if self._left_descents is None:
+            simple = {beta.index(1) for beta in self.inversions if sum(beta) == 1}
+            self._left_descents = tuple(i in simple for i in range(self.group.rank))
+        return self._left_descents[k - 1]
 
     @property
     def word(self) -> tuple[int, ...]:
@@ -175,26 +182,27 @@ class WeylGroup:
         return self.left_mult_gen(k, self.identity)
 
     def left_mult_gen(self, k: int, w: WeylElement) -> WeylElement:
-        """s_k * w, applying s_k to every column of the table."""
-        datum = self.datum
-        return self.intern(tuple(rootsys.reflect_root_coords(datum, k, col) for col in w.table))
+        """s_k * w, applying s_k to every column of the table; cached on w and,
+        as s_k (s_k w) = w, on the product."""
+        rootsys.check_index(self.datum, k)
+        self.require(w)  # a foreign w would put this group's elements into its caches
+        got = w._left[k - 1]
+        if got is None:
+            got = self.intern(tuple(rootsys.reflect_root_coords(self.datum, k, col) for col in w.table))
+            got._left[k - 1], w._left[k - 1] = w, got
+        return got
 
     def right_mult_gen(self, w: WeylElement, k: int) -> WeylElement:
-        """w * s_k via the column update w(s_k alpha_i) = w(alpha_i) - A[k][i] w(alpha_k)."""
+        """w * s_k via the column update w(s_k alpha_i) = w(alpha_i) - A[k][i] w(alpha_k)
+        (A[k][k] = 2 negates column k); cached on w and, as (w s_k) s_k = w, on the product."""
         rootsys.check_index(self.datum, k)
-        a = self.datum.cartan
-        n = self.rank
-        colk = w.table[k - 1]
-        new = []
-        for i in range(n):
-            c = a[k - 1][i]
-            if i == k - 1:
-                new.append(tuple(-x for x in colk))
-            elif c:
-                new.append(tuple(x - c * y for x, y in zip(w.table[i], colk)))
-            else:
-                new.append(w.table[i])
-        return self.intern(tuple(new))
+        self.require(w)
+        got = w._right[k - 1]
+        if got is None:
+            colk, cols = w.table[k - 1], zip(w.table, self.datum.cartan[k - 1])
+            got = self.intern(tuple(tuple(x - c * y for x, y in zip(col, colk)) if c else col for col, c in cols))
+            got._right[k - 1], w._right[k - 1] = w, got
+        return got
 
     def from_word(self, word) -> WeylElement:
         w = self.identity

@@ -7,7 +7,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from qkline import KTEngine, RingElt, WeylGroup, named_datum, weyl
+from qkline import KTEngine, RingElt, WeylGroup, named_datum, qklines, repring, rootsys, weyl
 from qkline.ktheory import KClass
 
 
@@ -18,33 +18,39 @@ def test_shared_engine_concurrent_reads_match_serial():
         _concurrent_reads_match_serial(label, p)
 
 
+def _reads(engine, u, v, p):
+    """structure_constants and qk_product_degree1 of (u, v) on G/P, by words and to_pairs."""
+    def pairs(exp):
+        return {w.word_str: repring.to_pairs(c, engine.datum) for w, c in exp.coeffs.items()}
+
+    prod = qklines.qk_product_degree1(engine, u, v, p)
+    quantum = {k: pairs(exp) for k, exp in prod.quantum.items()}
+    return pairs(engine.structure_constants(u, v, p)), pairs(prod.classical), quantum, prod.skipped
+
+
 def _concurrent_reads_match_serial(label, p):
     serial = KTEngine(named_datum(label))
-    els = weyl.enumerate_wp(serial.W, p)
-    pairs = list(itertools.combinations_with_replacement(els, 2))
-    expected = {
-        (u.word_str, v.word_str): serial.structure_constants(u, v, p).coeffs
-        for u, v in pairs
-    }
+    pairs = list(itertools.combinations_with_replacement(weyl.enumerate_wp(serial.W, p), 2))
+    expected = {(u.word_str, v.word_str): _reads(serial, u, v, p) for u, v in pairs}
 
-    shared = KTEngine(named_datum(label))
-    shared_els = {w.word_str: w for w in shared.W.elements()}
-    jobs = [(u.word_str, v.word_str) for u, v in pairs] * 3
+    # the same matrix under a label no other test uses: its Weyl group, its
+    # elements' neighbour caches and its gate and exponent memo entries are
+    # all cold, and the threads fill them, parsing their own words
+    cold = rootsys.cartan_datum(named_datum(label).cartan, label=f"{label} raced cold")
+    shared = KTEngine(cold)
+    jobs = list(expected) * 3
     random.Random(7).shuffle(jobs)
 
     def work(job):
-        uw, vw = job
-        exp = shared.structure_constants(shared_els[uw], shared_els[vw], p)
-        return job, {w.word_str: c for w, c in exp.coeffs.items()}
+        u, v = (shared.W.parse_word(word) for word in job)
+        return job, _reads(shared, u, v, p)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
             for job, got in pool.map(work, jobs, timeout=120):
-                uw, vw = job
-                want = {w.word_str: c for w, c in expected[(uw, vw)].items()}
-                assert got == want
+                assert got == expected[job]
     finally:
         sys.setswitchinterval(interval)
 

@@ -356,6 +356,33 @@ def test_each_pair_sweep_gates_once(engine, monkeypatch, sweep):
     assert len(calls) == 1
 
 
+# every operation that gates a node k, on A3 with the parabolic p and one point x
+_GATED_AT_K = {
+    "curve_neighborhood": lambda e, p, k, x: curve_neighborhood(e, "X", x, k, p),
+    "projected_gw": lambda e, p, k, x: projected_gw(e, x, x, k, p),
+    "kgw3": lambda e, p, k, x: kgw3(e, x, x, SchubertExpansion({x: e.ring_one()}, p), k, p),
+    "kgw2": lambda e, p, k, x: kgw2(e, x, x, k, p),
+    "qk_constant_kfree": lambda e, p, k, x: qk_constant_kfree(e, x, x, x, k, p),
+    "qk_constant_divided_difference": lambda e, p, k, x: qk_constant_divided_difference(e, x, x, x, k, p),
+    "quantum_coefficients": lambda e, p, k, x: quantum_coefficients(e, x, x, k, p),
+    "qk_constant_general": lambda e, p, k, x: qk_constant_general(e, x, x, x, k, p),
+    "cor_xi_sum": lambda e, p, k, x: cor_xi_sum(e, x, x, x, k, p, p),
+    "peterson_check": lambda e, p, k, x: peterson_check(e, p, k, x, x, x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GATED_AT_K))
+def test_a_float_node_is_refused_after_its_integer_was_gated(engine, name):
+    """k = 1.0 equals 1 and hashes like it, but the gate decided for 1 must
+    not answer for it: TypeError, raised ahead of the point checks, which
+    would refuse s3 outside W^P with ValueError."""
+    e = engine("A3")
+    p = frozenset({3})
+    quantum_coefficients(e, e.W.identity, e.W.identity, 1, p)
+    with pytest.raises(TypeError, match=re.escape("1.0 is not an integer")):
+        _GATED_AT_K[name](e, p, 1.0, e.W.simple(3))
+
+
 def test_kgw3_refuses_a_class_index_outside_wp(engine):
     """On A2 with P = {2} and k = 1 the pair is admissible but not k-free, and
     s2 is not in W^P: O^{s2} is no class on G/P, so kgw3 refuses it instead

@@ -255,6 +255,15 @@ def test_serialization_roundtrip_and_order():
     assert from_pairs(A2, to_pairs(b, A2), basis="omega") == b
 
 
+@pytest.mark.parametrize("rank", [1, 3])
+@pytest.mark.parametrize("read", [to_pairs, repring.format_elt, rewrite_in_shifted_basis])
+def test_serializers_refuse_an_element_of_another_rank(read, rank):
+    # the exponent memo reads each packed key at the datum's rank
+    for a in (RingElt.one(rank), RingElt.monomial(rank, (-1,) * rank, 2)):
+        with pytest.raises(ValueError, match="rank"):
+            read(a, A2)
+
+
 @pytest.mark.parametrize(
     "build, named",
     [

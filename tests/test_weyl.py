@@ -89,19 +89,59 @@ _INDEXED_CALLS = {
 }
 
 
+def _warm(name):
+    """The A2 group after the call has run at every valid node, so that each
+    per-element cache it reads is filled and a bad index meets a warm cache."""
+    W = group("A2")
+    for k in range(1, W.rank + 1):
+        _INDEXED_CALLS[name](W, k)
+    return W
+
+
 @pytest.mark.parametrize("k", [0, -1])
 @pytest.mark.parametrize("name", sorted(_INDEXED_CALLS))
 def test_node_indices_below_one_are_refused(name, k):
     # Python's negative indexing read node 0 as node r and node -1 as node r - 1
+    W = _warm(name)
     with pytest.raises(IndexError, match=f"node index {k} out of range"):
-        _INDEXED_CALLS[name](group("A2"), k)
+        _INDEXED_CALLS[name](W, k)
 
 
 @pytest.mark.parametrize("name", sorted(_INDEXED_CALLS))
 def test_node_indices_that_are_not_integers_are_refused(name):
     # 1.5 was read as no node by simple_root and has_left_descent, and indexed a tuple elsewhere
+    W = _warm(name)
     with pytest.raises(TypeError, match="1.5 is not an integer"):
-        _INDEXED_CALLS[name](group("A2"), 1.5)
+        _INDEXED_CALLS[name](W, 1.5)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2"])
+def test_cached_neighbours_and_descents_match_their_definitions(label):
+    """Every product w s_k and s_k w equals the one a fresh group computes
+    with nothing cached, and the descent flags equal the sign of w(alpha_k)
+    and the membership of alpha_k in the inversions: on the first pass, which
+    fills the caches, and on the second, which reads them."""
+    W = group(label)
+    for _ in range(2):
+        for w in W.elements():
+            for k in range(1, W.rank + 1):
+                fresh = WeylGroup(W.datum)
+                assert W.right_mult_gen(w, k).word == fresh.right_mult_gen(fresh.intern(w.table), k).word
+                fresh = WeylGroup(W.datum)
+                assert W.left_mult_gen(k, w).word == fresh.left_mult_gen(k, fresh.intern(w.table)).word
+                alpha_k = rootsys.simple_root(W.datum, k)
+                assert w.has_right_descent(k) is any(x < 0 for x in w.apply_to_root(alpha_k))
+                assert w.has_left_descent(k) is (alpha_k in w.inversions)
+
+
+def test_neighbours_of_a_foreign_element_are_refused():
+    # the product would be cached on the element of the other group
+    W, other = group("A2"), WeylGroup(named_datum("A2"))
+    with pytest.raises(weyl.GroupMismatchError, match="is not in the Weyl group of A2"):
+        W.right_mult_gen(other.identity, 1)
+    with pytest.raises(weyl.GroupMismatchError, match="is not in the Weyl group of A2"):
+        W.left_mult_gen(1, other.identity)
+    assert other.identity._right == other.identity._left == [None, None]
 
 
 def test_word_parsing_forms():
