@@ -32,18 +32,18 @@ satisfy
 
 A class on a parabolic quotient ``G/P`` is stored by its values at the
 fixed points of ``G/P``, the minimal representatives ``W^P``; as a function
-on W it is constant on every coset ``w W_P``.  Operations take classes on
-one quotient, and a class moves between quotients only through its Schubert
-expansion (``pullback``, ``pushforward``).
+on W it is constant on every coset ``w W_P``.  A class or an expansion is
+checked once when built (each point in the Weyl group, then in ``W^P``) and
+is read-only after.  Operations take classes on one quotient, and a class
+moves between quotients only through its Schubert expansion (``pullback``,
+``pushforward``).
 
 Structure constants for a parabolic quotient are computed on G/P: the
 pointwise product of ``O^u`` and ``O^v`` and the triangular solve against
-the diagonal values visit the ``W^P`` points only.  The operations refuse a
-class with a point outside ``W^P``, so the solve visits every point a class
-has, and a class that divides at each of them is in the span.  The Borel
-quotient (``P`` empty) is the case in which nothing is restricted.  The
-pushforward to a point is the sum of expansion coefficients, because every
-Schubert class has sheaf Euler characteristic 1.
+the diagonal values visit the ``W^P`` points, every point a class has, so a
+class that divides at each of them is in the span; on the Borel quotient
+(``P`` empty) nothing is restricted.  The pushforward to a point is the sum
+of expansion coefficients: every Schubert class has sheaf Euler characteristic 1.
 
 All caches are append-only with value-identical recomputation, and the solve
 mutates only residuals it created: the engine may be shared across threads.
@@ -51,7 +51,9 @@ mutates only residuals it created: the engine may be shared across threads.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from . import repring, rootsys, weyl
 from .repring import RingElt, accumulate, exact_divide, subtract_product
@@ -65,12 +67,16 @@ class ExpansionError(ValueError):
 
 @dataclass(frozen=True)
 class KClass:
-    """A coefficient-ring-valued function on the fixed points (sparse) of
-    G/P, the points of W^P; operations read the quotient off ``parabolic``."""
+    """A coefficient-ring-valued function on the fixed points (sparse) of G/P, the points
+    of W^P; checked once when built (the datum's group, then W^P), read-only."""
 
     datum: CartanDatum
-    restrictions: dict[WeylElement, RingElt]
+    restrictions: Mapping[WeylElement, RingElt]
     parabolic: frozenset[int] = field(default_factory=frozenset)
+
+    def __post_init__(self):
+        object.__setattr__(self, "restrictions", MappingProxyType(dict(self.restrictions)))
+        WeylGroup.for_datum(self.datum).require(*self.restrictions, parabolic=self.parabolic)
 
     def value(self, w: WeylElement) -> RingElt:
         """The value at any point of W: a class on G/P is read at the
@@ -85,11 +91,16 @@ class KClass:
 
 @dataclass(frozen=True)
 class SchubertExpansion:
-    """A finite Schubert-basis expansion over the minimal representatives of
-    a parabolic quotient; zero coefficients are never stored."""
+    """A finite Schubert-basis expansion over W^P, without zero coefficients; checked
+    once when built (the group of the first index, then W^P), read-only."""
 
-    coeffs: dict[WeylElement, RingElt]
+    coeffs: Mapping[WeylElement, RingElt]
     parabolic: frozenset[int] = field(default_factory=frozenset)
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", MappingProxyType(dict(self.coeffs)))
+        if self.coeffs:
+            next(iter(self.coeffs)).group.require(*self.coeffs, parabolic=self.parabolic)
 
     def coeff(self, w: WeylElement) -> RingElt:
         """The coefficient of O^w, zero off the support; GroupMismatchError for
@@ -141,8 +152,7 @@ class KTEngine:
         p = weyl.normalize_parabolic(self.datum, parabolic)
         got = self._schubert.get((v, p))
         if got is None:
-            self.W.require(v)
-            weyl.require_wp(v, p)
+            self.W.require(v, parabolic=p)
             self._build_classes(p)
             got = self._schubert[(v, p)]
         return got
@@ -274,7 +284,7 @@ class KTEngine:
     def divided_difference(self, e: SchubertExpansion, k: int, opposite: bool = False) -> SchubertExpansion:
         """Coefficientwise Hecke move of the basis indices: O^w -> O^{w_k}
         (or O_w -> O_{w^k} on the opposite basis)."""
-        self._require_indices(e)
+        self.W.require(*e.coeffs)
         if not weyl.is_k_free(self.datum, e.parabolic, k):
             raise ValueError(f"divided difference needs a k-free parabolic (k={k})")
         move = weyl.hecke_up if opposite else weyl.hecke_down
@@ -289,7 +299,7 @@ class KTEngine:
         q = weyl.normalize_parabolic(self.datum, bigger)
         if not e.parabolic <= q:
             raise ValueError("pushforward needs a containing parabolic")
-        self._require_indices(e)
+        self.W.require(*e.coeffs)
         out: dict[WeylElement, RingElt] = {}
         for w, cw in e.coeffs.items():
             accumulate(out, weyl.min_coset_rep(w, q), cw)
@@ -301,12 +311,12 @@ class KTEngine:
         p = weyl.normalize_parabolic(self.datum, smaller)
         if not p <= e.parabolic:
             raise ValueError("pullback needs a contained parabolic")
-        self._require_indices(e)
-        return SchubertExpansion(dict(e.coeffs), p)
+        self.W.require(*e.coeffs)
+        return SchubertExpansion(e.coeffs, p)
 
     def euler_characteristic(self, e: SchubertExpansion) -> RingElt:
         """Pushforward to the point: every basis class integrates to 1."""
-        self._require_indices(e)
+        self.W.require(*e.coeffs)
         total = self.ring_zero()
         for cw in e.coeffs.values():
             total = total + cw
@@ -350,22 +360,11 @@ class KTEngine:
                         return bad
         return bad
 
-    def _require_indices(self, e: SchubertExpansion) -> None:
-        """GroupMismatchError unless every index of ``e`` is in this engine's
-        Weyl group, and require_wp's ValueError unless it is in W^P of e's quotient."""
-        self.W.require(*e.coeffs)
-        for w in e.coeffs:
-            weyl.require_wp(w, e.parabolic)
-
     def _require_on(self, c: KClass, p: frozenset[int], op: str) -> None:
-        """Raise ValueError unless ``c`` is a class of this engine's datum on
-        G/P (the moment-graph operations walk the edges of G/B, so they ask
-        for P empty) whose points are in this engine's Weyl group and W^P."""
+        """Raise ValueError unless ``c`` is a class of this engine's datum on G/P (P empty for
+        the moment-graph operations, which walk G/B); its points were checked when it was built."""
         if c.datum != self.datum:
             raise weyl.GroupMismatchError(f"{op} on {self.datum} takes classes of {self.datum}, not of {c.datum}")
         if c.parabolic != p:
             want, got = (f"G/P for P = {sorted(q)}" if q else "G/B" for q in (p, c.parabolic))
             raise ValueError(f"{op} acts on classes on {want}, not on {got}")
-        self.W.require(*c.restrictions)
-        for x in c.restrictions if p else ():
-            weyl.require_wp(x, p)

@@ -28,10 +28,10 @@ which this module exposes as an independent route for cross-checking.
 Admissibility is a hard gate: outside the admissible class the reduction to
 P_k fails (the comparison map of moduli spaces is not surjective), so every
 operation below refuses such input rather than extrapolate.  The same gate
-checks that every index the operation takes, those of kgw3's F included, is
+checks that every point the operation takes, and every index of kgw3's F, is
 in the engine's own Weyl group and in W^P: each statement holds only for
-minimal coset representatives.  Every call path decides this once: a public
-operation gates, then calls ``_pairing_row`` or ``_fibre_sums``, unchecked.
+minimal coset representatives.  Classes and expansions are checked when built;
+a public operation gates once, then calls ``_pairing_row`` or ``_fibre_sums``, unchecked.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from functools import lru_cache
 from . import repring, rootsys, weyl
 from .ktheory import KTEngine, SchubertExpansion
 from .repring import RingElt
-from .weyl import WeylElement, bruhat_leq, hecke_down, hecke_up, min_coset_rep, require_wp
+from .weyl import WeylElement, bruhat_leq, hecke_down, hecke_up, min_coset_rep
 
 
 class GateError(ValueError):
@@ -53,9 +53,8 @@ class GateError(ValueError):
 
 
 def _gate(engine: KTEngine, p, k, *points, k_free=False):
-    """(P, P_k) once (P, alpha_k) is admissible, or k-free if ``k_free`` (then
-    P_k = P): a GateError for the hypothesis, then GroupMismatchError for a
-    point outside the engine's group and require_wp's ValueError outside W^P."""
+    """(P, P_k) once (P, alpha_k) is admissible, or k-free if ``k_free`` (then P_k = P):
+    a GateError for the hypothesis, then ``WeylGroup.require`` of the points in W^P."""
     p = weyl.normalize_parabolic(engine.datum, p)
     pk, admissible = _gate_decision(engine.datum, p, rootsys.as_int(k))  # as_int: 1.0 must not hit 1's entry
     if k_free and pk != p:
@@ -70,9 +69,7 @@ def _gate(engine: KTEngine, p, k, *points, k_free=False):
             f"its component inside Delta_P + {{alpha_{k}}} is not simply laced; the "
             "reduction to the k-free quotient fails for such pairs"
         )
-    engine.W.require(*points)
-    for x in points:
-        require_wp(x, p)
+    engine.W.require(*points, parabolic=p)
     return p, pk
 
 
@@ -99,7 +96,7 @@ def _pairing_row(engine: KTEngine, u, v, k, pk, ws, chi: dict) -> Iterator[RingE
 def _fibre_sums(engine: KTEngine, u, v, k, p, pk) -> dict[WeylElement, RingElt]:
     """quantum_coefficients' two coset-fibre sums, for (P, P_k) from a gate."""
     up = engine.structure_constants(hecke_down(u, k), hecke_down(v, k), pk)
-    acc = engine.pushforward(up, p).coeffs  # a fresh dict, owned here
+    acc = dict(engine.pushforward(up, p).coeffs)  # owned here: the read-only coefficients are copied
     for b, cf in engine.structure_constants(u, v, p).coeffs.items():
         repring.accumulate(acc, min_coset_rep(hecke_down(b, k), p), -cf)
     return acc

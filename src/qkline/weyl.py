@@ -14,20 +14,20 @@ identity; from rank 10 on, letters are separated by spaces, as in
 ``"1 10 9"``.  The canonical emitted word is the lexicographically minimal
 reduced word.
 
-Membership: ``WeylGroup.require(*points)`` is the one check that points are
-elements of a group.  Products, Bruhat comparisons and every engine
-operation call it, and it raises ``GroupMismatchError`` with one message.
+Membership: ``WeylGroup.require(*points, parabolic=P)`` is the one check that
+points are in a group (``GroupMismatchError``), then in ``W^P`` (``ValueError``);
+a class or an expansion runs it once when built and is read-only after.
 
-Immutability: elements never change after interning.  The memo cache of
-coset enumerations (W itself is the one for P empty) and the per-element
-caches only ever grow, and a recomputed entry is identical to the cached one,
-so concurrent readers are safe; writers at worst repeat work.
+Immutability: elements never change after interning, and ``for_datum`` keeps
+the first group stored per datum.  The memo of coset enumerations (W is the one
+for P empty) and the per-element caches only ever grow, with identical
+recomputed entries, so concurrent readers are safe; writers at worst repeat work.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import Counter
-from functools import lru_cache
 
 from . import rootsys
 from .rootsys import CartanDatum, parse_digits
@@ -150,6 +150,9 @@ class WeylElement:
 class WeylGroup:
     """The Weyl group of a Cartan datum, with interned elements."""
 
+    _shared: dict[CartanDatum, "WeylGroup"] = {}  # for_datum's groups
+    _shared_lock = threading.Lock()
+
     def __init__(self, datum: CartanDatum):
         self.datum = datum
         self.rank = datum.rank
@@ -160,15 +163,21 @@ class WeylGroup:
         self.identity = self.intern(tuple(tuple(1 if i == j else 0 for i in range(n)) for j in range(n)))
 
     @classmethod
-    @lru_cache(maxsize=None)
     def for_datum(cls, datum: CartanDatum) -> "WeylGroup":
-        return cls(datum)
+        """The shared group of ``datum``: the first one stored, for every caller."""
+        with cls._shared_lock:  # look up and store as one step: a racing miss must not store a second group
+            if datum not in cls._shared:
+                cls._shared[datum] = cls(datum)
+            return cls._shared[datum]
 
-    def require(self, *points: WeylElement) -> None:
-        """Raise GroupMismatchError unless every point is an element of this group."""
+    def require(self, *points: WeylElement, parabolic: frozenset[int] = frozenset()) -> None:
+        """GroupMismatchError for a point of another group, then ValueError for one outside W^P."""
         for w in points:
             if w.group is not self:
                 raise GroupMismatchError(f"{w!r} of {w.group.datum} is not in the Weyl group of {self.datum}")
+        for w in points if parabolic else ():
+            if not in_wp(w, parabolic):
+                raise ValueError(f"{w.word_str} is not a minimal representative for {sorted(parabolic)}")
 
     def intern(self, table) -> WeylElement:
         el = self._intern.get(table)
@@ -259,12 +268,6 @@ def normalize_parabolic(datum: CartanDatum, nodes) -> frozenset[int]:
 def in_wp(w: WeylElement, p: frozenset[int]) -> bool:
     """w in W^P iff w(alpha_i) > 0 for every i in Delta_P."""
     return all(not w.has_right_descent(i) for i in p)
-
-
-def require_wp(w: WeylElement, p: frozenset[int]) -> None:
-    """Raise ValueError unless w is a minimal coset representative for p."""
-    if not in_wp(w, p):
-        raise ValueError(f"{w.word_str} is not a minimal representative for {sorted(p)}")
 
 
 def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
@@ -383,5 +386,5 @@ def schubert_preimage(u: WeylElement, q, p) -> WeylElement:
     p = normalize_parabolic(group.datum, p)
     if not p <= q:
         raise ValueError("preimage needs nested parabolic sets P <= Q")
-    require_wp(u, q)
+    group.require(u, parabolic=q)
     return min_coset_rep(u * longest_element(group, q), p)

@@ -103,3 +103,32 @@ def test_intern_race_returns_one_element(monkeypatch):
     assert not thread.is_alive()
     assert len(got) == 1 and got[0] is mine
     assert W.intern(table) is mine
+
+
+def test_engines_built_at_once_on_a_fresh_datum_share_one_group():
+    """WeylGroup.for_datum hands every caller the group it stored first.  An
+    unbounded lru_cache keeps the last writer of a racing miss, so engines
+    built together on a new datum held different groups, and a class of one
+    engine was refused by another's reader."""
+    d5 = named_datum("D5")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(20):
+            datum = rootsys.cartan_datum(d5.cartan, label=f"D5 built at once {trial}")  # equal to no earlier datum
+            barrier, engines = threading.Barrier(4), []
+
+            def build():
+                barrier.wait(timeout=10)
+                engines.append(KTEngine(datum))
+
+            threads = [threading.Thread(target=build) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(engines) == 4
+            assert all(e.W is WeylGroup.for_datum(datum) for e in engines)
+    finally:
+        sys.setswitchinterval(interval)

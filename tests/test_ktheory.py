@@ -162,12 +162,12 @@ def test_demazure_refuses_a_point_of_another_group_of_the_same_datum(engine):
     for group in (e.W, weyl.WeylGroup(named_datum("A2"))):
         s1 = group.simple(1)
         t = RingElt.monomial(2, alpha_to_omega(e.datum, s1.table[0]))  # e^{s1(alpha_1)}
-        cls = KClass(e.datum, {s1: e.ring_one() - t})
         if group is e.W:
+            cls = KClass(e.datum, {s1: e.ring_one() - t})
             assert e.demazure(cls, 1).restrictions == {s1: e.ring_one(), e.W.identity: e.ring_one()}
         else:
             with pytest.raises(weyl.GroupMismatchError, match="is not in the Weyl group of A2"):
-                e.demazure(cls, 1)
+                e.demazure(KClass(e.datum, {s1: e.ring_one() - t}), 1)
 
 
 def test_demazure_consistency(engine):
@@ -261,10 +261,9 @@ def test_expand_not_in_span_raises(engine):
     on_quotient = KClass(e.datum, {e.W.simple(1): e.ring_one()}, frozenset({2}))
     with pytest.raises(ExpansionError, match="not divisible"):
         e.expand(on_quotient)
-    # a value at s2, which is not a point of G/{2}, is refused before the solve
-    off_quotient = KClass(e.datum, {e.W.simple(2): e.ring_one()}, frozenset({2}))
+    # a value at s2, which is not a point of G/{2}, is refused when the class is built
     with pytest.raises(ValueError, match=re.escape("2 is not a minimal representative for [2]")):
-        e.expand(off_quotient)
+        e.expand(KClass(e.datum, {e.W.simple(2): e.ring_one()}, frozenset({2})))
     # a function violating divisibility fails during the solve
     broken = KClass(e.datum, {e.W.simple(1): e.ring_one()})
     with pytest.raises(ExpansionError):
@@ -676,6 +675,64 @@ def test_expand_reads_a_stored_zero_value_as_zero(engine):
     assert e.expand(KClass(e.datum, {s1: e.ring_zero()}, frozenset({2}))).coeffs == {}
     with_zero = KClass(e.datum, {**e.schubert_class(s2).restrictions, s1: e.ring_zero()})
     assert e.expand(with_zero).coeffs == {s2: e.ring_one()}
+
+
+_VALUES_OF_A3 = {
+    "KClass": lambda e, points, p: KClass(e.datum, dict.fromkeys(points, e.ring_one()), p),
+    "SchubertExpansion": lambda e, points, p: SchubertExpansion(dict.fromkeys(points, e.ring_one()), p),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VALUES_OF_A3))
+def test_a_value_is_checked_once_when_it_is_built(engine, name):
+    """A class or an expansion refuses, when it is built, a point of a second
+    Weyl group of its datum and a point outside W^P of its own quotient; both
+    were stored, and refused only by the operations that read them."""
+    e, build = engine("A3"), _VALUES_OF_A3[name]
+    foreign = weyl.WeylGroup(named_datum("A3"))
+    with pytest.raises(weyl.GroupMismatchError, match="is not in the Weyl group of A3"):
+        build(e, [e.W.identity, foreign.simple(2)], frozenset())
+    with pytest.raises(ValueError, match=re.escape("1 is not a minimal representative for [1]")):
+        build(e, [e.W.identity, e.W.simple(1)], frozenset({1}))
+    assert build(e, [e.W.identity, e.W.simple(2)], frozenset({1})).parabolic == {1}
+
+
+def test_classes_and_expansions_are_read_only(engine):
+    e = engine("A2")
+    s1, s2 = e.W.simple(1), e.W.simple(2)
+    cls, exp = e.schubert_class(s1), e.structure_constants(s1, s1)
+    with pytest.raises(TypeError):
+        cls.restrictions[s2] = e.ring_one()
+    with pytest.raises(TypeError):
+        exp.coeffs[s2] = e.ring_one()
+    assert s2 not in cls.restrictions and s2 not in exp.coeffs
+
+
+def test_a_value_keeps_no_link_to_the_mapping_it_was_built_from(engine):
+    # a caller that changes its dict after the check changes neither the value nor its expansion
+    e = engine("A2")
+    s1, s2 = e.W.simple(1), e.W.simple(2)
+    vals = dict(e.schubert_class(s2).restrictions)
+    cls = KClass(e.datum, vals)
+    coeffs = {s2: e.ring_one()}
+    exp = SchubertExpansion(coeffs)
+    vals[s1] = vals[e.W.identity] = e.ring_one()
+    coeffs[s1] = e.ring_one()
+    assert cls.restrictions == e.schubert_class(s2).restrictions
+    assert e.expand(cls).coeffs == {s2: e.ring_one()}
+    assert exp.coeffs == {s2: e.ring_one()}
+
+
+def test_multiply_checks_each_point_of_memoised_classes_at_most_once(engine, monkeypatch):
+    # the product re-scanned both memoised factors: 2|c| W^P tests for c . c on G/P
+    e = engine("A3")
+    c = e.schubert_class(e.W.identity, {1})
+    calls = []
+    in_wp = weyl.in_wp
+    monkeypatch.setattr(weyl, "in_wp", lambda w, p: calls.append(w) or in_wp(w, p))
+    square = e.multiply(c, c)
+    assert square.restrictions == c.restrictions
+    assert 0 < len(calls) <= len(c.restrictions) == 12
 
 
 def _snapshot(cls):

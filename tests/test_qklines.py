@@ -360,7 +360,7 @@ def test_each_pair_sweep_gates_once(engine, monkeypatch, sweep):
 _GATED_AT_K = {
     "curve_neighborhood": lambda e, p, k, x: curve_neighborhood(e, "X", x, k, p),
     "projected_gw": lambda e, p, k, x: projected_gw(e, x, x, k, p),
-    "kgw3": lambda e, p, k, x: kgw3(e, x, x, SchubertExpansion({x: e.ring_one()}, p), k, p),
+    "kgw3": lambda e, p, k, x: kgw3(e, x, x, SchubertExpansion({e.W.identity: e.ring_one()}, p), k, p),
     "kgw2": lambda e, p, k, x: kgw2(e, x, x, k, p),
     "qk_constant_kfree": lambda e, p, k, x: qk_constant_kfree(e, x, x, x, k, p),
     "qk_constant_divided_difference": lambda e, p, k, x: qk_constant_divided_difference(e, x, x, x, k, p),
@@ -385,11 +385,11 @@ def test_a_float_node_is_refused_after_its_integer_was_gated(engine, name):
 
 def test_kgw3_refuses_a_class_index_outside_wp(engine):
     """On A2 with P = {2} and k = 1 the pair is admissible but not k-free, and
-    s2 is not in W^P: O^{s2} is no class on G/P, so kgw3 refuses it instead
-    of pairing it on the k-free reduction G/B."""
+    s2 is not in W^P: O^{s2} is no class on G/P, so F is refused when it is
+    built, before kgw3 could pair it on the k-free reduction G/B."""
     e = engine("A2")
-    f = SchubertExpansion({e.W.simple(2): e.ring_one()}, frozenset({2}))
     with pytest.raises(ValueError, match=re.escape("2 is not a minimal representative for [2]")) as info:
+        f = SchubertExpansion({e.W.simple(2): e.ring_one()}, frozenset({2}))
         kgw3(e, e.W.identity, e.W.identity, f, 1, {2})
     assert not isinstance(info.value, GateError)
 
