@@ -33,10 +33,11 @@ satisfy
 A class on a parabolic quotient ``G/P`` is stored by its values at the
 fixed points of ``G/P``, the minimal representatives ``W^P``; as a function
 on W it is constant on every coset ``w W_P``.  A class or an expansion is
-checked once when built (each point in the Weyl group, then in ``W^P``) and
-is read-only after.  Operations take classes on one quotient, and a class
-moves between quotients only through its Schubert expansion (``pullback``,
-``pushforward``).
+checked once when built (its quotient normalised to a frozenset of integer
+nodes, each point in the Weyl group, then in ``W^P``) and is read-only after.
+Operations take classes on one quotient, compared as two frozensets, and a
+class moves between quotients only through its Schubert expansion
+(``pullback``, ``pushforward``).
 
 Structure constants for a parabolic quotient are computed on G/P: the
 pointwise product of ``O^u`` and ``O^v`` and the triangular solve against
@@ -68,7 +69,9 @@ class ExpansionError(ValueError):
 @dataclass(frozen=True)
 class KClass:
     """A coefficient-ring-valued function on the fixed points (sparse) of G/P, the points
-    of W^P; checked once when built (the datum's group, then W^P), read-only."""
+    of W^P; checked once when built (the quotient normalised against the datum to a
+    frozenset of integers, then each point in the datum's group and in W^P), read-only.
+    It cannot be pickled or deep-copied: a Weyl element is its interned object."""
 
     datum: CartanDatum
     restrictions: Mapping[WeylElement, RingElt]
@@ -76,6 +79,7 @@ class KClass:
 
     def __post_init__(self):
         object.__setattr__(self, "restrictions", MappingProxyType(dict(self.restrictions)))
+        object.__setattr__(self, "parabolic", weyl.normalize_parabolic(self.datum, self.parabolic))
         WeylGroup.for_datum(self.datum).require(*self.restrictions, parabolic=self.parabolic)
 
     def value(self, w: WeylElement) -> RingElt:
@@ -83,22 +87,23 @@ class KClass:
         minimal representative of w W_P.  GroupMismatchError for a point of
         another group than the Weyl group of the datum."""
         WeylGroup.for_datum(self.datum).require(w)
-        if self.parabolic:
-            w = weyl.min_coset_rep(w, self.parabolic)
-        got = self.restrictions.get(w)
+        got = self.restrictions.get(weyl.min_coset_rep(w, self.parabolic))
         return RingElt.zero(self.datum.rank) if got is None else got
 
 
 @dataclass(frozen=True)
 class SchubertExpansion:
     """A finite Schubert-basis expansion over W^P, without zero coefficients; checked
-    once when built (the group of the first index, then W^P), read-only."""
+    once when built (the quotient made a frozenset of integers, then each index in the
+    group of the first index and in W^P, which refuses a node out of range), read-only.
+    It cannot be pickled or deep-copied: a Weyl element is its interned object."""
 
     coeffs: Mapping[WeylElement, RingElt]
     parabolic: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", MappingProxyType(dict(self.coeffs)))
+        object.__setattr__(self, "parabolic", frozenset(map(rootsys.as_int, self.parabolic)))
         if self.coeffs:
             next(iter(self.coeffs)).group.require(*self.coeffs, parabolic=self.parabolic)
 
@@ -235,8 +240,7 @@ class KTEngine:
         """Triangular solve for the coefficients of ``c`` in the Schubert
         basis of its own quotient G/P; the solve visits W^P only."""
         self._require_on(c, c.parabolic, "expand")
-        p = weyl.normalize_parabolic(self.datum, c.parabolic)
-        reps = weyl.enumerate_wp(self.W, p)
+        reps = weyl.enumerate_wp(self.W, c.parabolic)
         # the solve's own residuals, one per point: subtract_product mutates them, never c or a memoised class
         resid = {w: RingElt(self.rank, {}, 0) for w in reps}
         resid.update((w, RingElt(self.rank, dict(val._terms), val._bound)) for w, val in c.restrictions.items())
@@ -245,7 +249,7 @@ class KTEngine:
             val = resid.pop(v)
             if not val:
                 continue
-            cls = self.schubert_class(v, p)
+            cls = self.schubert_class(v, c.parabolic)
             try:
                 cv = exact_divide(val, cls.restrictions[v])  # the diagonal value O^v|_v
             except repring.NotDivisible:
@@ -256,7 +260,7 @@ class KTEngine:
             for w, ov in cls.restrictions.items():
                 if w is not v:  # exact_divide returned, so the residual at v is exactly 0
                     subtract_product(resid[w], cv, ov)
-        return SchubertExpansion(coeffs, p)
+        return SchubertExpansion(coeffs, c.parabolic)
 
     def schubert_class_of_expansion(self, e: SchubertExpansion) -> KClass:
         """Linear combination sum c_w O^w as a fixed-point function on the
@@ -268,11 +272,10 @@ class KTEngine:
         return KClass(self.datum, acc, e.parabolic)
 
     def structure_constants(self, u: WeylElement, v: WeylElement, parabolic=()) -> SchubertExpansion:
-        """All coefficients of O^u . O^v over the given quotient at once."""
+        """All coefficients of O^u . O^v over the given quotient at once,
+        memoised per unordered pair {u, v}: the product is commutative."""
         p = weyl.normalize_parabolic(self.datum, parabolic)
-        if v.sort_key < u.sort_key:
-            u, v = v, u
-        key = (u, v, p)
+        key = (frozenset((u, v)), p)
         got = self._constants.get(key)
         if got is None:
             prod = self.multiply(self.schubert_class(u, p), self.schubert_class(v, p))
@@ -285,7 +288,7 @@ class KTEngine:
         """Coefficientwise Hecke move of the basis indices: O^w -> O^{w_k}
         (or O_w -> O_{w^k} on the opposite basis)."""
         self.W.require(*e.coeffs)
-        if not weyl.is_k_free(self.datum, e.parabolic, k):
+        if weyl.degree_one_decision(self.datum, e.parabolic, rootsys.as_int(k))[0] != e.parabolic:
             raise ValueError(f"divided difference needs a k-free parabolic (k={k})")
         move = weyl.hecke_up if opposite else weyl.hecke_down
         out: dict[WeylElement, RingElt] = {}

@@ -27,11 +27,14 @@ which this module exposes as an independent route for cross-checking.
 
 Admissibility is a hard gate: outside the admissible class the reduction to
 P_k fails (the comparison map of moduli spaces is not surjective), so every
-operation below refuses such input rather than extrapolate.  The same gate
-checks that every point the operation takes, and every index of kgw3's F, is
-in the engine's own Weyl group and in W^P: each statement holds only for
-minimal coset representatives.  Classes and expansions are checked when built;
-a public operation gates once, then calls ``_pairing_row`` or ``_fibre_sums``, unchecked.
+operation below refuses such input rather than extrapolate.  The gate reads
+P_k and admissibility from ``weyl.degree_one_decision``, which decides them once
+per (datum, P, k); the suites and ``qk_product_degree1`` read it there too.
+The gate then checks that every point the operation takes, and every index of
+kgw3's F, is in the engine's own Weyl group and in W^P: each statement holds
+only for minimal coset representatives.  Classes and expansions are checked
+when built; a public operation gates once, then calls ``_pairing_row`` or
+``_fibre_sums``, unchecked.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ import itertools
 import json
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, replace
-from functools import lru_cache
 
 from . import repring, rootsys, weyl
 from .ktheory import KTEngine, SchubertExpansion
@@ -56,7 +58,7 @@ def _gate(engine: KTEngine, p, k, *points, k_free=False):
     """(P, P_k) once (P, alpha_k) is admissible, or k-free if ``k_free`` (then P_k = P):
     a GateError for the hypothesis, then ``WeylGroup.require`` of the points in W^P."""
     p = weyl.normalize_parabolic(engine.datum, p)
-    pk, admissible = _gate_decision(engine.datum, p, rootsys.as_int(k))  # as_int: 1.0 must not hit 1's entry
+    pk, admissible = weyl.degree_one_decision(engine.datum, p, rootsys.as_int(k))  # as_int: 1.0 must not hit 1's entry
     if k_free and pk != p:
         raise GateError(
             f"parabolic {sorted(p)} is not {k}-free: it contains a node adjacent to "
@@ -71,12 +73,6 @@ def _gate(engine: KTEngine, p, k, *points, k_free=False):
         )
     engine.W.require(*points, parabolic=p)
     return p, pk
-
-
-@lru_cache(maxsize=None)
-def _gate_decision(datum, p: frozenset[int], k: int) -> tuple[frozenset[int], bool]:
-    """(P_k, whether (P, alpha_k) is admissible) for a normalised P and an integer k."""
-    return weyl.build_Pk(datum, p, k), weyl.in_class_P(datum, p, k)
 
 
 def _pairing_row(engine: KTEngine, u, v, k, pk, ws, chi: dict) -> Iterator[RingElt]:
@@ -233,20 +229,13 @@ class QKProduct:
 
 def qk_product_degree1(engine: KTEngine, u, v, p=()) -> QKProduct:
     """Classical expansion plus, for every admissible node k outside the
-    parabolic, the q_k-linear coefficients.  Nodes the gate refuses are
-    skipped and recorded; the classical call checks u and v."""
+    parabolic, the q_k-linear coefficients.  Nodes whose pair is not admissible
+    are skipped and recorded; the classical call checks u and v."""
     p = weyl.normalize_parabolic(engine.datum, p)
     classical = engine.structure_constants(u, v, p)
-    quantum: dict[int, SchubertExpansion] = {}
-    skipped = []
-    for k in range(1, engine.rank + 1):
-        if k in p:
-            continue
-        try:
-            quantum[k] = SchubertExpansion(quantum_coefficients(engine, u, v, k, p), p)
-        except GateError:
-            skipped.append(k)
-    return QKProduct(u, v, classical, quantum, tuple(skipped))
+    admissible = {k: weyl.degree_one_decision(engine.datum, p, k)[1] for k in range(1, engine.rank + 1) if k not in p}
+    quantum = {k: SchubertExpansion(quantum_coefficients(engine, u, v, k, p), p) for k, ok in admissible.items() if ok}
+    return QKProduct(u, v, classical, quantum, tuple(k for k, ok in admissible.items() if not ok))
 
 
 def cor_xi_sum(engine: KTEngine, u, v, w, k, p, q) -> RingElt:
@@ -424,10 +413,11 @@ def run_suite(engine: KTEngine, p, suite: str) -> list[CheckReport]:
     and peterson once per admissible node k (sign only where P is k-free),
     gkm once; "all" runs the four in that order."""
     p = weyl.normalize_parabolic(engine.datum, p)
-    nodes = [k for k in range(1, engine.rank + 1) if k not in p and weyl.in_class_P(engine.datum, p, k)]
+    decided = {k: weyl.degree_one_decision(engine.datum, p, k) for k in range(1, engine.rank + 1) if k not in p}
+    nodes = [k for k, (_, admissible) in decided.items() if admissible]
     per_node = {
         "vanishing": lambda k: [vanishing_check(engine, p, k)],
-        "sign": lambda k: [sign_check(engine, p, k)] if weyl.is_k_free(engine.datum, p, k) else [],
+        "sign": lambda k: [sign_check(engine, p, k)] if decided[k][0] == p else [],
         "peterson": lambda k: peterson_sweep(engine, p, k),
     }
     names = (*per_node, "gkm", "all")

@@ -18,16 +18,21 @@ Membership: ``WeylGroup.require(*points, parabolic=P)`` is the one check that
 points are in a group (``GroupMismatchError``), then in ``W^P`` (``ValueError``);
 a class or an expansion runs it once when built and is read-only after.
 
+Degree one: the memo ``degree_one_decision`` owns P_k and the admissibility
+of (P, alpha_k); ``build_Pk``, ``in_class_P``, ``is_k_free``, the quantum gate,
+the suites and the divided difference all read it.
+
 Immutability: elements never change after interning, and ``for_datum`` keeps
-the first group stored per datum.  The memo of coset enumerations (W is the one
-for P empty) and the per-element caches only ever grow, with identical
-recomputed entries, so concurrent readers are safe; writers at worst repeat work.
+the first group stored per datum.  The memos (coset enumerations, W being the
+one for P empty, and degree-one decisions) and the per-element caches only grow,
+with identical recomputed entries: concurrent readers are safe, writers at worst repeat work.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import Counter
+from functools import lru_cache
 
 from . import rootsys
 from .rootsys import CartanDatum, parse_digits
@@ -337,12 +342,20 @@ def hecke_up(w: WeylElement, k: int) -> WeylElement:
     return w if w.has_right_descent(k) else w.group.right_mult_gen(w, k)
 
 
-def _check_k_not_in_p(datum, p, k):
-    p = normalize_parabolic(datum, p)
+@lru_cache(maxsize=None)
+def degree_one_decision(datum: CartanDatum, p: frozenset[int], k: int) -> tuple[frozenset[int], bool]:
+    """(P_k, whether (P, alpha_k) is admissible) for a normalised P and an integer k
+    outside it.  P_k drops from Delta_P the nodes adjacent to alpha_k; the pair is
+    admissible when alpha_k is long, or the connected component of k inside
+    Delta_P + {alpha_k} is simply laced."""
     rootsys.check_index(datum, k)
     if k in p:
         raise ValueError(f"alpha_{k} lies in the parabolic set")
-    return p
+    pk = frozenset(i for i in p if not rootsys.adjacent(datum, i, k))
+    if rootsys.is_long(datum, k):
+        return pk, True
+    comp, a = rootsys.component(datum, k, p | {k}), datum.cartan
+    return pk, all(a[i - 1][j - 1] * a[j - 1][i - 1] <= 1 for i in comp for j in comp if i != j)
 
 
 def is_k_free(datum: CartanDatum, p, k: int) -> bool:
@@ -351,20 +364,13 @@ def is_k_free(datum: CartanDatum, p, k: int) -> bool:
 
 
 def in_class_P(datum: CartanDatum, p, k: int) -> bool:
-    """Admissibility of the pair (P, alpha_k): alpha_k is long, or the
-    connected component of k inside Delta_P + {alpha_k} is simply laced."""
-    p = _check_k_not_in_p(datum, p, k)
-    if rootsys.is_long(datum, k):
-        return True
-    comp = rootsys.component(datum, k, p | {k})
-    a = datum.cartan
-    return all(a[i - 1][j - 1] * a[j - 1][i - 1] <= 1 for i in comp for j in comp if i != j)
+    """Admissibility of the pair (P, alpha_k), read from ``degree_one_decision``."""
+    return degree_one_decision(datum, normalize_parabolic(datum, p), rootsys.as_int(k))[1]
 
 
 def build_Pk(datum: CartanDatum, p, k: int) -> frozenset[int]:
     """Drop from Delta_P the nodes adjacent to alpha_k; the result is k-free."""
-    p = _check_k_not_in_p(datum, p, k)
-    return frozenset(i for i in p if not rootsys.adjacent(datum, i, k))
+    return degree_one_decision(datum, normalize_parabolic(datum, p), rootsys.as_int(k))[0]
 
 
 def build_P_of_k(datum: CartanDatum, p, k: int) -> frozenset[int]:

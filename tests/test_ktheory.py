@@ -697,6 +697,33 @@ def test_a_value_is_checked_once_when_it_is_built(engine, name):
     assert build(e, [e.W.identity, e.W.simple(2)], frozenset({1})).parabolic == {1}
 
 
+def test_multiply_takes_a_class_whose_quotient_is_a_tuple(engine):
+    # the quotient (2,) is P = {2}: it used to be refused as "not on G/P for P = [2]"
+    e = engine("A2")
+    c = e.schubert_class(e.W.simple(1), {2})
+    square = e.multiply(KClass(e.datum, c.restrictions, (2,)), c)
+    assert square.parabolic == {2} and square.restrictions == e.multiply(c, c).restrictions
+
+
+def test_pushforward_and_pullback_take_an_expansion_whose_quotient_is_a_tuple(engine):
+    # the quotient (2,) is P = {2}: comparing it with a frozenset raised TypeError
+    e = engine("A2")
+    s1, one = e.W.simple(1), e.ring_one()
+    f = SchubertExpansion({s1: one}, (2,))
+    assert e.pushforward(f, (1, 2)) == SchubertExpansion({e.W.identity: one}, frozenset({1, 2}))
+    assert e.pullback(f, ()) == SchubertExpansion({s1: one})
+
+
+def test_a_value_quotient_is_a_frozenset_of_nodes_in_range(engine):
+    e = engine("A2")
+    with pytest.raises(IndexError, match="parabolic node 5 out of range 1..2"):
+        KClass(e.datum, {}, (5,))
+    with pytest.raises(IndexError, match="node index 5 out of range 1..2"):
+        SchubertExpansion({e.W.identity: e.ring_one()}, [5])
+    for value in (KClass(e.datum, {}, [2]), SchubertExpansion({e.W.identity: e.ring_one()}, [2])):
+        assert type(value.parabolic) is frozenset and value.parabolic == {2}
+
+
 def test_classes_and_expansions_are_read_only(engine):
     e = engine("A2")
     s1, s2 = e.W.simple(1), e.W.simple(2)

@@ -150,6 +150,14 @@ def test_kgw3_refuses_a_class_on_another_quotient(engine):
             kgw3(e, s1, s1, exp_one(e, "1", f_p), 1, p)
 
 
+def test_kgw3_takes_a_class_whose_quotient_is_a_tuple(engine):
+    # F's quotient (2,) is P = {2}: it used to be refused as "not on P = [2]"
+    e = engine("A2")
+    s1, one = e.W.simple(1), e.ring_one()
+    want = kgw3(e, s1, s1, SchubertExpansion({s1: one}, frozenset({2})), 1, {2})
+    assert kgw3(e, s1, s1, SchubertExpansion({s1: one}, (2,)), 1, {2}) == want
+
+
 def test_kgw2_examples(engine):
     e = engine("A2")
     W = e.W
@@ -340,7 +348,7 @@ _GATE_CALLS = {"cor_xi_sum": 2, "qk_product_degree1": 2, "KTEngine.structure_con
 def test_each_operation_decides_its_hypothesis_once(engine, monkeypatch, name):
     """On A3 with P = {3} and k = 1 each operation calls the gate once, and no
     operation it calls decides the same hypothesis again.  cor_xi_sum decides
-    two (P admissible, Q k-free), qk_product_degree1 one per node outside P
+    two (P admissible, Q k-free), qk_product_degree1 one per admissible node outside P
     and the classical structure constants none."""
     e = engine("A3")
     calls = _count_gates(monkeypatch)
@@ -654,15 +662,22 @@ def test_positivity_reports_a_constant_outside_the_subring(engine, monkeypatch):
     assert rep.witnesses == tuple(want[:8])
 
 
-def test_peterson_sweep_reports_each_failing_triple():
+def test_peterson_sweep_reports_each_failing_triple(monkeypatch):
     # a fault in one structure constant of G/P_k, P_k = {3} on A3/{3} at k = 1, seen by the quotient side only
-    e = KTEngine(named_datum("A3"))  # its memo is perturbed: not the shared engine
+    e = KTEngine(named_datum("A3"))  # its structure constants are perturbed: not the shared engine
     p = frozenset({3})
     s1, s2 = e.W.simple(1), e.W.simple(2)
-    good = e.structure_constants(s1, s2, p)
+    real = e.structure_constants
+    good = real(s1, s2, p)
     bad = dict(good.coeffs)
     bad[e.W.identity] = e.ring_one()  # O^{s1} . O^{s2} has no O^e term on G/P_k
-    e._constants[(s1, s2, p)] = SchubertExpansion(bad, p)
+    bad = SchubertExpansion(bad, p)
+
+    def perturbed(u, v, parabolic=()):  # the fault for {s1, s2} on {3}, in either order
+        hit = {u, v} == {s1, s2} and weyl.normalize_parabolic(e.datum, parabolic) == p
+        return bad if hit else real(u, v, parabolic)
+
+    monkeypatch.setattr(e, "structure_constants", perturbed)
     reports = peterson_sweep(e, p, 1)
     assert reports == _per_triple_reports(e, p, 1)
     failing = reports[:-1]
@@ -737,3 +752,16 @@ def test_gkm_check_and_suite_order(engine):
         ("peterson", 1), ("peterson", 2), ("gkm", None),
     ]
     assert [r.check for r in qklines.run_suite(engine("B2"), (1,), "sign")] == []
+
+
+def test_a_suite_run_twice_decides_each_node_once(monkeypatch):
+    # a datum no other test uses, so the first run decides every node cold
+    from qkline import qklines, rootsys
+
+    e = KTEngine(rootsys.cartan_datum(named_datum("B2").cartan, label="fresh-B2"))
+    first = qklines.run_suite(e, (), "vanishing")
+    calls = []
+    component = rootsys.component
+    monkeypatch.setattr(rootsys, "component", lambda *args: calls.append(args) or component(*args))
+    assert qklines.run_suite(e, (), "vanishing") == first
+    assert calls == []

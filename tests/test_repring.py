@@ -1,3 +1,4 @@
+import operator
 import os
 import pathlib
 import re
@@ -75,6 +76,44 @@ def test_rank_mismatch_raises():
         RingElt.one(1) + RingElt.one(2)
     with pytest.raises(ValueError):
         RingElt.one(1) * RingElt.one(2)
+
+
+def test_an_integer_plus_an_element_is_the_element_plus_the_integer():
+    x = e(A2, -1, 0)
+    assert 3 + x == x + 3 == parse_expression(A2, "3+e(-a1)")
+
+
+def test_an_integer_minus_an_element_is_minus_the_element_minus_the_integer():
+    x = e(A2, -1, 0)
+    assert 1 - x == -(x - 1) == parse_expression(A2, "1-e(-a1)")
+
+
+def test_a_product_by_zero_and_a_monomial_with_coefficient_zero_are_zero():
+    zero = RingElt.zero(2)
+    assert e(A2, -1, 0) * 0 == zero and not e(A2, -1, 0) * 0
+    assert RingElt.monomial(2, (1, -1), 0) == zero and not RingElt.monomial(2, (1, -1), 0)
+
+
+def test_repr_of_zero():
+    assert repr(RingElt.zero(2)) == repr(e(A2, 1, 0) * 0) == "RingElt(0)"
+
+
+def test_equal_elements_hash_equal():
+    # one element with its terms stored in two orders: a dict or set must see one key
+    items = [((-1, 0), 1), ((0, -1), 1), ((0, 0), -2)]
+    a, b = RingElt.from_terms(2, items), RingElt.from_terms(2, items[::-1])
+    assert list(a._terms) != list(b._terms)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert hash(RingElt.zero(2)) == hash(a - a)
+
+
+@pytest.mark.parametrize("other", ["1", 1.5], ids=["str", "float"])
+@pytest.mark.parametrize("op", ["add", "sub", "mul"])
+def test_an_operand_that_is_neither_an_integer_nor_an_element_is_refused(op, other):
+    x = e(A2, -1, 0)
+    assert getattr(x, f"__{op}__")(other) is NotImplemented
+    with pytest.raises(TypeError):
+        getattr(operator, op)(x, other)
 
 
 @settings(max_examples=150)
@@ -320,6 +359,14 @@ def test_parse_expression():
     ]:
         with pytest.raises(ValueError, match=message):
             parse_expression(A2, text)
+
+
+def test_parse_expression_reads_a_negated_factor():
+    assert parse_expression(A2, "2*-e(a1)") == -2 * e(A2, 1, 0)
+
+
+def test_parse_expression_reads_a_starred_multiple_of_a_root():
+    assert parse_expression(A2, "e(2*a1)") == e(A2, 2, 0)
 
 
 def test_format_elt():

@@ -40,6 +40,14 @@ def test_multiply_group_mismatch():
         group("A2").simple(1) * group("C2").simple(1)
 
 
+@pytest.mark.parametrize("other", ["1", 1.5], ids=["str", "float"])
+def test_a_weyl_element_times_a_non_element_is_refused(other):
+    s1 = group("A2").simple(1)
+    assert s1.__mul__(other) is NotImplemented
+    with pytest.raises(TypeError):
+        s1 * other
+
+
 def test_group_orders():
     assert group("A1").order == 2
     assert group("A2").order == 6
