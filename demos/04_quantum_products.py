@@ -40,7 +40,7 @@ print(f"  two-pointed locus for (1,1): top {d.top.word_str}, bottom {d.bottom.wo
       f" nonempty {d.nonempty}, dim {d.dimension}")
 
 print("\nthree-point invariant <O^1, O^1, O^21> of degree eps_1:",
-      format_elt(kgw3(a2, s1, s1, SchubertExpansion({W.parse_word('21'): a2.ring_one()}), 1), a2.datum))
+      format_elt(kgw3(a2, s1, s1, SchubertExpansion(a2.datum, {W.parse_word('21'): a2.ring_one()}), 1), a2.datum))
 
 print("\none quantum constant two ways (closed formula vs operator route):")
 n1 = qk_constant_kfree(a2, s1, s1, W.identity, 1)

@@ -9,7 +9,7 @@ Subcommands::
     qkline check        --suite golden|vanishing|sign|peterson|gkm|all [--group ...] [--parabolic ...]
     qkline neighborhood X|Y --group A2 --parabolic "" --u 2 --k 1
 
-Exit codes: 0 on success, 1 when a check fails, 2 for usage or gate errors.
+Exit codes: 0 on success, 1 when a check fails, 2 for usage, gate or memory errors.
 """
 
 from __future__ import annotations
@@ -229,6 +229,9 @@ def main(argv=None) -> int:
         return args.run(args)
     except (GateError, rootsys.CartanError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -32,12 +32,12 @@ satisfy
 
 A class on a parabolic quotient ``G/P`` is stored by its values at the
 fixed points of ``G/P``, the minimal representatives ``W^P``; as a function
-on W it is constant on every coset ``w W_P``.  A class or an expansion is
-checked once when built (its quotient normalised to a frozenset of integer
-nodes, each point in the Weyl group, then in ``W^P``) and is read-only after.
-Operations take classes on one quotient, compared as two frozensets, and a
-class moves between quotients only through its Schubert expansion
-(``pullback``, ``pushforward``).
+on W it is constant on every coset ``w W_P``.  A class and an expansion each
+carry their datum and are checked once when built, by one helper (the quotient
+normalised to a frozenset of integer nodes, each point in the datum's Weyl
+group, then in ``W^P``), read-only after.  Operations check a value by its datum
+and quotient (``_require_on``), and a class moves between quotients only through
+its Schubert expansion (``pullback``, ``pushforward``).
 
 Structure constants for a parabolic quotient are computed on G/P: the
 pointwise product of ``O^u`` and ``O^v`` and the triangular solve against
@@ -66,21 +66,25 @@ class ExpansionError(ValueError):
     """Input class is not in the span of the Schubert basis of its quotient."""
 
 
+def _seal(value, points: str) -> None:
+    """Check a value once, when built: its mapping ``points`` made read-only, its quotient normalised, each point in its W^P."""
+    object.__setattr__(value, points, MappingProxyType(dict(getattr(value, points))))
+    object.__setattr__(value, "parabolic", weyl.normalize_parabolic(value.datum, value.parabolic))
+    WeylGroup.for_datum(value.datum).require(*getattr(value, points), parabolic=value.parabolic)
+
+
 @dataclass(frozen=True)
 class KClass:
     """A coefficient-ring-valued function on the fixed points (sparse) of G/P, the points
-    of W^P; checked once when built (the quotient normalised against the datum to a
-    frozenset of integers, then each point in the datum's group and in W^P), read-only.
-    It cannot be pickled or deep-copied: a Weyl element is its interned object."""
+    of W^P; checked once when built by ``_seal``, read-only.  It cannot be pickled or
+    deep-copied: a Weyl element is its interned object."""
 
     datum: CartanDatum
     restrictions: Mapping[WeylElement, RingElt]
     parabolic: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        object.__setattr__(self, "restrictions", MappingProxyType(dict(self.restrictions)))
-        object.__setattr__(self, "parabolic", weyl.normalize_parabolic(self.datum, self.parabolic))
-        WeylGroup.for_datum(self.datum).require(*self.restrictions, parabolic=self.parabolic)
+        _seal(self, "restrictions")
 
     def value(self, w: WeylElement) -> RingElt:
         """The value at any point of W: a class on G/P is read at the
@@ -93,26 +97,23 @@ class KClass:
 
 @dataclass(frozen=True)
 class SchubertExpansion:
-    """A finite Schubert-basis expansion over W^P, without zero coefficients; checked
-    once when built (the quotient made a frozenset of integers, then each index in the
-    group of the first index and in W^P, which refuses a node out of range), read-only.
-    It cannot be pickled or deep-copied: a Weyl element is its interned object."""
+    """A finite Schubert-basis expansion over W^P of one datum, without zero coefficients;
+    checked once when built by ``_seal``, an empty one too, read-only.  It cannot be
+    pickled or deep-copied: a Weyl element is its interned object."""
 
+    datum: CartanDatum
     coeffs: Mapping[WeylElement, RingElt]
     parabolic: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", MappingProxyType(dict(self.coeffs)))
-        object.__setattr__(self, "parabolic", frozenset(map(rootsys.as_int, self.parabolic)))
-        if self.coeffs:
-            next(iter(self.coeffs)).group.require(*self.coeffs, parabolic=self.parabolic)
+        _seal(self, "coeffs")
 
     def coeff(self, w: WeylElement) -> RingElt:
         """The coefficient of O^w, zero off the support; GroupMismatchError for
-        a w of another group than the indices (an empty expansion has none)."""
-        next((x.group for x in self.coeffs), w.group).require(w)
+        a w of another group than the Weyl group of the datum."""
+        WeylGroup.for_datum(self.datum).require(w)
         got = self.coeffs.get(w)
-        return RingElt.zero(w.group.rank) if got is None else got
+        return RingElt.zero(self.datum.rank) if got is None else got
 
     def items_sorted(self):
         return sorted(self.coeffs.items(), key=lambda kv: kv[0].sort_key)
@@ -205,7 +206,7 @@ class KTEngine:
         """The moment-graph form of the degree-lowering operator along edges
         (w, w s_k); sends O^v to O^{v_k} and is idempotent.  Acts on G/B."""
         rootsys.check_index(self.datum, k)
-        self._require_on(c, frozenset(), "demazure")
+        self._require_on(c, "demazure", frozenset())
         W = self.W
         pts = dict.fromkeys(c.restrictions)  # insertion-ordered, so the output never follows addresses
         pts.update(dict.fromkeys(W.right_mult_gen(w, k) for w in c.restrictions))
@@ -221,7 +222,7 @@ class KTEngine:
     def multiply(self, c1: KClass, c2: KClass) -> KClass:
         """Pointwise product of two classes on one quotient."""
         for c in (c1, c2):
-            self._require_on(c, c1.parabolic, "multiply")
+            self._require_on(c, "multiply", c1.parabolic)
         small, big = c1.restrictions, c2.restrictions
         if len(small) > len(big):
             small, big = big, small
@@ -239,7 +240,7 @@ class KTEngine:
     def expand(self, c: KClass) -> SchubertExpansion:
         """Triangular solve for the coefficients of ``c`` in the Schubert
         basis of its own quotient G/P; the solve visits W^P only."""
-        self._require_on(c, c.parabolic, "expand")
+        self._require_on(c, "expand")
         reps = weyl.enumerate_wp(self.W, c.parabolic)
         # the solve's own residuals, one per point: subtract_product mutates them, never c or a memoised class
         resid = {w: RingElt(self.rank, {}, 0) for w in reps}
@@ -260,11 +261,12 @@ class KTEngine:
             for w, ov in cls.restrictions.items():
                 if w is not v:  # exact_divide returned, so the residual at v is exactly 0
                     subtract_product(resid[w], cv, ov)
-        return SchubertExpansion(coeffs, c.parabolic)
+        return SchubertExpansion(self.datum, coeffs, c.parabolic)
 
     def schubert_class_of_expansion(self, e: SchubertExpansion) -> KClass:
         """Linear combination sum c_w O^w as a fixed-point function on the
         expansion's quotient."""
+        self._require_on(e, "schubert_class_of_expansion")
         acc: dict[WeylElement, RingElt] = {}
         for w, cw in e.coeffs.items():
             for u, val in self.schubert_class(w, e.parabolic).restrictions.items():
@@ -287,43 +289,40 @@ class KTEngine:
     def divided_difference(self, e: SchubertExpansion, k: int, opposite: bool = False) -> SchubertExpansion:
         """Coefficientwise Hecke move of the basis indices: O^w -> O^{w_k}
         (or O_w -> O_{w^k} on the opposite basis)."""
-        self.W.require(*e.coeffs)
+        self._require_on(e, "divided_difference")
         if weyl.degree_one_decision(self.datum, e.parabolic, rootsys.as_int(k))[0] != e.parabolic:
             raise ValueError(f"divided difference needs a k-free parabolic (k={k})")
         move = weyl.hecke_up if opposite else weyl.hecke_down
         out: dict[WeylElement, RingElt] = {}
         for w, cw in e.coeffs.items():
             accumulate(out, move(w, k), cw)
-        return SchubertExpansion(out, e.parabolic)
+        return SchubertExpansion(self.datum, out, e.parabolic)
 
     def pushforward(self, e: SchubertExpansion, bigger) -> SchubertExpansion:
         """Along the projection to a bigger parabolic: reindex by minimal
         coset representatives."""
+        self._require_on(e, "pushforward")
         q = weyl.normalize_parabolic(self.datum, bigger)
         if not e.parabolic <= q:
             raise ValueError("pushforward needs a containing parabolic")
-        self.W.require(*e.coeffs)
         out: dict[WeylElement, RingElt] = {}
         for w, cw in e.coeffs.items():
             accumulate(out, weyl.min_coset_rep(w, q), cw)
-        return SchubertExpansion(out, q)
+        return SchubertExpansion(self.datum, out, q)
 
     def pullback(self, e: SchubertExpansion, smaller) -> SchubertExpansion:
         """Along the projection from a smaller parabolic quotient: indices are
         unchanged (the basis index set only grows)."""
+        self._require_on(e, "pullback")
         p = weyl.normalize_parabolic(self.datum, smaller)
         if not p <= e.parabolic:
             raise ValueError("pullback needs a contained parabolic")
-        self.W.require(*e.coeffs)
-        return SchubertExpansion(e.coeffs, p)
+        return SchubertExpansion(self.datum, e.coeffs, p)
 
     def euler_characteristic(self, e: SchubertExpansion) -> RingElt:
         """Pushforward to the point: every basis class integrates to 1."""
-        self.W.require(*e.coeffs)
-        total = self.ring_zero()
-        for cw in e.coeffs.values():
-            total = total + cw
-        return total
+        self._require_on(e, "euler_characteristic")
+        return sum(e.coeffs.values(), self.ring_zero())
 
     # -- moment-graph checks --------------------------------------------------------
 
@@ -350,7 +349,7 @@ class KTEngine:
         empty means the class satisfies the moment-graph condition.  Each
         edge with a value at either end is tested once on its two end values,
         from its shorter end when both carry values.  Checks classes on G/B."""
-        self._require_on(c, frozenset(), "gkm_violations")
+        self._require_on(c, "gkm_violations", frozenset())
         vals, graph = c.restrictions, self._moment_graph()
         bad = []
         for w, val in vals.items():
@@ -363,11 +362,12 @@ class KTEngine:
                         return bad
         return bad
 
-    def _require_on(self, c: KClass, p: frozenset[int], op: str) -> None:
-        """Raise ValueError unless ``c`` is a class of this engine's datum on G/P (P empty for
-        the moment-graph operations, which walk G/B); its points were checked when it was built."""
+    def _require_on(self, c: KClass | SchubertExpansion, op: str, p: frozenset[int] | None = None) -> None:
+        """The one check of a class or an expansion that ``op`` takes: GroupMismatchError unless it
+        is of this engine's datum, then, when ``p`` is given, ValueError unless it is on G/P (P empty
+        for the moment-graph operations, which walk G/B); its points were checked when it was built."""
         if c.datum != self.datum:
             raise weyl.GroupMismatchError(f"{op} on {self.datum} takes classes of {self.datum}, not of {c.datum}")
-        if c.parabolic != p:
+        if p is not None and c.parabolic != p:
             want, got = (f"G/P for P = {sorted(q)}" if q else "G/B" for q in (p, c.parabolic))
             raise ValueError(f"{op} acts on classes on {want}, not on {got}")

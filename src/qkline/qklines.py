@@ -30,11 +30,11 @@ P_k fails (the comparison map of moduli spaces is not surjective), so every
 operation below refuses such input rather than extrapolate.  The gate reads
 P_k and admissibility from ``weyl.degree_one_decision``, which decides them once
 per (datum, P, k); the suites and ``qk_product_degree1`` read it there too.
-The gate then checks that every point the operation takes, and every index of
-kgw3's F, is in the engine's own Weyl group and in W^P: each statement holds
-only for minimal coset representatives.  Classes and expansions are checked
-when built; a public operation gates once, then calls ``_pairing_row`` or
-``_fibre_sums``, unchecked.
+The gate then checks that every point the operation takes is in the engine's
+own Weyl group and in W^P: each statement holds only for minimal coset
+representatives.  kgw3's F is an expansion, checked when built: the engine's
+value check ``_require_on`` takes it on the gate's datum and quotient.  A public
+operation gates once, then calls ``_pairing_row`` or ``_fibre_sums``, unchecked.
 """
 
 from __future__ import annotations
@@ -163,11 +163,10 @@ def boundary_projected_gw(engine: KTEngine, u: WeylElement, v: WeylElement, k: i
 
 def kgw3(engine: KTEngine, u: WeylElement, v: WeylElement, f: SchubertExpansion, k: int, p=()) -> RingElt:
     """Three-point degree-eps_k invariant against F = sum_w f_w O^w on the
-    same quotient, F's indices gated with u and v: sum_w f_w times the pairing
-    row over F's indices on the k-free reduction G/P_k, where F's pullback has them."""
-    p, pk = _gate(engine, p, k, u, v, *f.coeffs)
-    if f.parabolic != p:
-        raise ValueError(f"kgw3 on G/P for P = {sorted(p)} takes a class on it, not on P = {sorted(f.parabolic)}")
+    same quotient (u and v gated, F checked by its datum and quotient): sum_w f_w times
+    the pairing row over F's indices on the k-free reduction G/P_k, where F's pullback has them."""
+    p, pk = _gate(engine, p, k, u, v)
+    engine._require_on(f, "kgw3", p)
     row = _pairing_row(engine, u, v, k, pk, f.coeffs, {})
     return sum((fw * val for fw, val in zip(f.coeffs.values(), row)), engine.ring_zero())
 
@@ -234,7 +233,7 @@ def qk_product_degree1(engine: KTEngine, u, v, p=()) -> QKProduct:
     p = weyl.normalize_parabolic(engine.datum, p)
     classical = engine.structure_constants(u, v, p)
     admissible = {k: weyl.degree_one_decision(engine.datum, p, k)[1] for k in range(1, engine.rank + 1) if k not in p}
-    quantum = {k: SchubertExpansion(quantum_coefficients(engine, u, v, k, p), p) for k, ok in admissible.items() if ok}
+    quantum = {k: SchubertExpansion(engine.datum, quantum_coefficients(engine, u, v, k, p), p) for k, ok in admissible.items() if ok}
     return QKProduct(u, v, classical, quantum, tuple(k for k, ok in admissible.items() if not ok))
 
 

@@ -168,7 +168,7 @@ def test_criterion_07_gkm_property_suite(engine):
         for i, w in enumerate(els[: min(6, len(els))]):
             c = parse_expression(e.datum, f"{i + 1}-e(-a1)" if i % 2 else f"{i + 1}")
             coeffs[w] = c
-        combo = e.schubert_class_of_expansion(SchubertExpansion(coeffs))
+        combo = e.schubert_class_of_expansion(SchubertExpansion(e.datum, coeffs))
         if e.expand(combo).coeffs != coeffs:
             bad.append((label, "expand-roundtrip"))
     report(7, "GKM property suite", not bad,
@@ -221,7 +221,7 @@ def test_criterion_10_gate_behavior(engine):
     k = 2
     W = e.W
     u = W.simple(2)
-    f = SchubertExpansion({u: e.ring_one()}, p)
+    f = SchubertExpansion(e.datum, {u: e.ring_one()}, p)
     ok = not weyl.in_class_P(e.datum, p, k)
     gated = []
     for call in (

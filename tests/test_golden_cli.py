@@ -366,8 +366,21 @@ def test_cli_refuses_a_ragged_cartan_file(tmp_path, capsys):
     assert "rank x rank" in err
 
 
+def test_cli_exits_2_when_memory_runs_out(capsys, monkeypatch):
+    # a MemoryError ended the CLI in a traceback with exit 1, the code of a failed check
+    from qkline.ktheory import KTEngine
+
+    def exhausted(self, p):
+        raise MemoryError
+
+    monkeypatch.setattr(KTEngine, "_build_classes", exhausted)
+    code, out, err = run_cli(capsys, "constant", "--group", "A2", "--u", "1", "--v", "1", "--w", "1", "--k", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "memory" in err
+
+
 def test_demo_scripts_run(tmp_path):
-    # each demo's stdout is pinned by its sha256 and byte count
+    # each demo's stdout is pinned by its sha256 and byte count; a warning fails the demo, as it fails a test
     import hashlib
     import pathlib
     import subprocess
@@ -378,7 +391,7 @@ def test_demo_scripts_run(tmp_path):
     pinned = json.loads((root / "tests" / "demo_outputs.json").read_text(encoding="utf-8"))
     assert [script.name for script in demos] == sorted(pinned)
     for script in demos:
-        proc = subprocess.run([sys.executable, str(script)], capture_output=True, timeout=120)
+        proc = subprocess.run([sys.executable, "-W", "error", str(script)], capture_output=True, timeout=120)
         assert proc.returncode == 0, (script.name, proc.stderr[-500:])
         got = {"sha256": hashlib.sha256(proc.stdout).hexdigest(), "bytes": len(proc.stdout)}
         assert got == pinned[script.name], script.name

@@ -342,17 +342,17 @@ def test_divided_difference_examples(engine):
 
     s1, s2 = W.simple(1), W.simple(2)
     one = e.ring_one()
-    d = e.divided_difference(SchubertExpansion({s1: one}), 1)
+    d = e.divided_difference(SchubertExpansion(e.datum, {s1: one}), 1)
     assert d.coeffs == {W.identity: one}
-    d = e.divided_difference(SchubertExpansion({s2: one}), 1)
+    d = e.divided_difference(SchubertExpansion(e.datum, {s2: one}), 1)
     assert d.coeffs == {s2: one}
     a, b = elt(e, "e(-a1)"), elt(e, "1-e(-a2)")
-    lin = e.divided_difference(SchubertExpansion({s1: a, W.parse_word("21"): b}), 1)
+    lin = e.divided_difference(SchubertExpansion(e.datum, {s1: a, W.parse_word("21"): b}), 1)
     assert lin.coeffs == {W.identity: a, s2: b}
     twice = e.divided_difference(lin, 1)
     assert twice.coeffs == lin.coeffs
     with pytest.raises(ValueError):
-        e.divided_difference(SchubertExpansion({s1: one}, frozenset({2})), 1)
+        e.divided_difference(SchubertExpansion(e.datum, {s1: one}, frozenset({2})), 1)
 
 
 def test_divided_difference_opposite_basis(engine):
@@ -360,7 +360,7 @@ def test_divided_difference_opposite_basis(engine):
     from qkline.ktheory import SchubertExpansion
 
     w = e.W.simple(2)
-    moved = e.divided_difference(SchubertExpansion({w: e.ring_one()}), 1, opposite=True)
+    moved = e.divided_difference(SchubertExpansion(e.datum, {w: e.ring_one()}), 1, opposite=True)
     assert moved.coeffs == {e.W.parse_word("21"): e.ring_one()}
 
 
@@ -370,12 +370,12 @@ def test_pushforward_pullback(engine):
     from qkline.ktheory import SchubertExpansion
 
     one = e.ring_one()
-    exp = SchubertExpansion({W.parse_word("12"): one})
+    exp = SchubertExpansion(e.datum, {W.parse_word("12"): one})
     pushed = e.pushforward(exp, {2})
     assert pushed.coeffs == {W.simple(1): one}
-    over_q = SchubertExpansion({W.parse_word("21"): one, W.identity: one}, frozenset({2}))
+    over_q = SchubertExpansion(e.datum, {W.parse_word("21"): one, W.identity: one}, frozenset({2}))
     assert e.pushforward(e.pullback(over_q, ()), {2}).coeffs == over_q.coeffs
-    assert e.pushforward(SchubertExpansion({W.identity: one}), {2}).coeffs == {W.identity: one}
+    assert e.pushforward(SchubertExpansion(e.datum, {W.identity: one}), {2}).coeffs == {W.identity: one}
     with pytest.raises(ValueError):
         e.pullback(exp, {2})
     with pytest.raises(ValueError, match="pushforward needs a containing parabolic"):
@@ -387,11 +387,11 @@ def test_euler_characteristic(engine):
     from qkline.ktheory import SchubertExpansion
 
     w = e.W.parse_word("12")
-    assert e.euler_characteristic(SchubertExpansion({w: e.ring_one()})) == e.ring_one()
+    assert e.euler_characteristic(SchubertExpansion(e.datum, {w: e.ring_one()})) == e.ring_one()
     s1 = e.W.simple(1)
     sq = e.structure_constants(s1, s1)
     assert e.euler_characteristic(sq) == e.ring_one()
-    assert e.euler_characteristic(SchubertExpansion({})) == e.ring_zero()
+    assert e.euler_characteristic(SchubertExpansion(e.datum, {})) == e.ring_zero()
 
 
 def _localization_integral(e, cls):
@@ -591,10 +591,13 @@ def test_readers_refuse_an_element_of_another_group(engine):
             e.schubert_class(s1, {2}).value(foreign)
 
 
-def test_an_empty_expansion_reads_zero_at_any_element(engine):
+def test_an_empty_expansion_reads_zero_only_in_its_own_group(engine):
+    # an empty expansion had no datum, so it read zero at an element of any group
     e = engine("A2")
-    w = weyl.WeylGroup(named_datum("A2")).parse_word("21")
-    assert SchubertExpansion({}).coeff(w) == e.ring_zero()
+    empty = SchubertExpansion(e.datum, {})
+    assert empty.coeff(e.W.parse_word("21")) == e.ring_zero()
+    with pytest.raises(weyl.GroupMismatchError, match="is not in the Weyl group of A2"):
+        empty.coeff(weyl.WeylGroup(named_datum("A2")).parse_word("21"))
 
 
 @pytest.mark.parametrize("k", [0, -1, 3])
@@ -630,7 +633,7 @@ def test_divided_difference_refuses_an_index_of_another_group(engine):
     # it decided k-freeness on its own A4 diagram and moved the D4 index as if it were its own
     e, s2 = engine("A4"), KTEngine(named_datum("D4")).W.simple(2)
     with pytest.raises(weyl.GroupMismatchError, match="D4 is not in the Weyl group of A4"):
-        e.divided_difference(SchubertExpansion({s2: e.ring_one()}, frozenset({4})), 2)
+        e.divided_difference(SchubertExpansion(e.datum, {s2: e.ring_one()}, frozenset({4})), 2)
 
 
 @pytest.mark.parametrize(
@@ -646,7 +649,7 @@ def test_functoriality_refuses_an_index_of_another_group(engine, op):
     # pushforward reindexed the D4 index by its A4 coset, pullback kept it and euler_characteristic summed it
     e, x = engine("A4"), KTEngine(named_datum("D4")).W.parse_word("21")
     with pytest.raises(weyl.GroupMismatchError, match="D4 is not in the Weyl group of A4"):
-        op(e, SchubertExpansion({x: e.ring_one()}))
+        op(e, SchubertExpansion(e.datum, {x: e.ring_one()}))
 
 
 @pytest.mark.parametrize(
@@ -664,7 +667,30 @@ def test_functoriality_refuses_an_index_outside_wp_of_its_quotient(engine, op):
     # and divided_difference and pullback {s1: 1}
     e = engine("A3")
     with pytest.raises(ValueError, match=re.escape("1 is not a minimal representative for [1]")):
-        op(e, SchubertExpansion({e.W.simple(1): e.ring_one()}, frozenset({1})))
+        op(e, SchubertExpansion(e.datum, {e.W.simple(1): e.ring_one()}, frozenset({1})))
+
+
+# every engine operation that takes an expansion, called on an engine e
+_EXPANSION_OPERATIONS = {
+    "pushforward": lambda e, exp: e.pushforward(exp, {1}),
+    "pullback": lambda e, exp: e.pullback(exp, ()),
+    "euler_characteristic": lambda e, exp: e.euler_characteristic(exp),
+    "divided_difference": lambda e, exp: e.divided_difference(exp, 1),
+    "schubert_class_of_expansion": lambda e, exp: e.schubert_class_of_expansion(exp),
+    "kgw3": lambda e, exp: qklines.kgw3(e, e.W.identity, e.W.identity, exp, 1),
+}
+
+
+@pytest.mark.parametrize("mine, theirs, word", [("A2", "B2", None), ("A4", "D4", "21")], ids=["empty-B2", "D4"])
+@pytest.mark.parametrize("name", sorted(_EXPANSION_OPERATIONS))
+def test_an_operation_refuses_an_expansion_of_another_datum(engine, name, mine, theirs, word):
+    """An expansion is taken by its datum, as a class is.  An empty B2 expansion
+    on A2 was answered (zero, or an empty expansion or class), and a D4 index on
+    A4 was refused only where an operation read it."""
+    e, other = engine(mine), engine(theirs)
+    exp = SchubertExpansion(other.datum, {other.W.parse_word(word): other.ring_one()} if word else {})
+    with pytest.raises(weyl.GroupMismatchError, match=f"on {mine} takes classes of {mine}, not of {theirs}"):
+        _EXPANSION_OPERATIONS[name](e, exp)
 
 
 def test_expand_reads_a_stored_zero_value_as_zero(engine):
@@ -679,7 +705,7 @@ def test_expand_reads_a_stored_zero_value_as_zero(engine):
 
 _VALUES_OF_A3 = {
     "KClass": lambda e, points, p: KClass(e.datum, dict.fromkeys(points, e.ring_one()), p),
-    "SchubertExpansion": lambda e, points, p: SchubertExpansion(dict.fromkeys(points, e.ring_one()), p),
+    "SchubertExpansion": lambda e, points, p: SchubertExpansion(e.datum, dict.fromkeys(points, e.ring_one()), p),
 }
 
 
@@ -687,7 +713,9 @@ _VALUES_OF_A3 = {
 def test_a_value_is_checked_once_when_it_is_built(engine, name):
     """A class or an expansion refuses, when it is built, a point of a second
     Weyl group of its datum and a point outside W^P of its own quotient; both
-    were stored, and refused only by the operations that read them."""
+    were stored, and refused only by the operations that read them.  With no
+    points it refuses a quotient node out of range: an expansion checked its
+    nodes only through its indices, so an empty one kept (5,)."""
     e, build = engine("A3"), _VALUES_OF_A3[name]
     foreign = weyl.WeylGroup(named_datum("A3"))
     with pytest.raises(weyl.GroupMismatchError, match="is not in the Weyl group of A3"):
@@ -695,6 +723,8 @@ def test_a_value_is_checked_once_when_it_is_built(engine, name):
     with pytest.raises(ValueError, match=re.escape("1 is not a minimal representative for [1]")):
         build(e, [e.W.identity, e.W.simple(1)], frozenset({1}))
     assert build(e, [e.W.identity, e.W.simple(2)], frozenset({1})).parabolic == {1}
+    with pytest.raises(IndexError, match="parabolic node 5 out of range 1..3"):
+        build(e, [], (5,))
 
 
 def test_multiply_takes_a_class_whose_quotient_is_a_tuple(engine):
@@ -709,18 +739,18 @@ def test_pushforward_and_pullback_take_an_expansion_whose_quotient_is_a_tuple(en
     # the quotient (2,) is P = {2}: comparing it with a frozenset raised TypeError
     e = engine("A2")
     s1, one = e.W.simple(1), e.ring_one()
-    f = SchubertExpansion({s1: one}, (2,))
-    assert e.pushforward(f, (1, 2)) == SchubertExpansion({e.W.identity: one}, frozenset({1, 2}))
-    assert e.pullback(f, ()) == SchubertExpansion({s1: one})
+    f = SchubertExpansion(e.datum, {s1: one}, (2,))
+    assert e.pushforward(f, (1, 2)) == SchubertExpansion(e.datum, {e.W.identity: one}, frozenset({1, 2}))
+    assert e.pullback(f, ()) == SchubertExpansion(e.datum, {s1: one})
 
 
 def test_a_value_quotient_is_a_frozenset_of_nodes_in_range(engine):
     e = engine("A2")
     with pytest.raises(IndexError, match="parabolic node 5 out of range 1..2"):
         KClass(e.datum, {}, (5,))
-    with pytest.raises(IndexError, match="node index 5 out of range 1..2"):
-        SchubertExpansion({e.W.identity: e.ring_one()}, [5])
-    for value in (KClass(e.datum, {}, [2]), SchubertExpansion({e.W.identity: e.ring_one()}, [2])):
+    with pytest.raises(IndexError, match="parabolic node 5 out of range 1..2"):
+        SchubertExpansion(e.datum, {e.W.identity: e.ring_one()}, [5])
+    for value in (KClass(e.datum, {}, [2]), SchubertExpansion(e.datum, {e.W.identity: e.ring_one()}, [2])):
         assert type(value.parabolic) is frozenset and value.parabolic == {2}
 
 
@@ -742,7 +772,7 @@ def test_a_value_keeps_no_link_to_the_mapping_it_was_built_from(engine):
     vals = dict(e.schubert_class(s2).restrictions)
     cls = KClass(e.datum, vals)
     coeffs = {s2: e.ring_one()}
-    exp = SchubertExpansion(coeffs)
+    exp = SchubertExpansion(e.datum, coeffs)
     vals[s1] = vals[e.W.identity] = e.ring_one()
     coeffs[s1] = e.ring_one()
     assert cls.restrictions == e.schubert_class(s2).restrictions

@@ -36,7 +36,7 @@ def elt(engine, text):
 
 def exp_one(engine, word, p=()):
     w = engine.W.parse_word(word)
-    return SchubertExpansion({w: engine.ring_one()}, weyl.normalize_parabolic(engine.datum, p))
+    return SchubertExpansion(engine.datum, {w: engine.ring_one()}, weyl.normalize_parabolic(engine.datum, p))
 
 
 # -- neighborhoods and Richardson descriptors ------------------------------------
@@ -137,7 +137,7 @@ def test_kgw3_matches_the_triple_product(engine, label, p):
             continue
         for _ in range(6):
             u, v = rng.choice(reps), rng.choice(reps)
-            f = SchubertExpansion({w: rng.choice(coeffs) for w in rng.sample(reps, 3)}, p)
+            f = SchubertExpansion(e.datum, {w: rng.choice(coeffs) for w in rng.sample(reps, 3)}, p)
             assert kgw3(e, u, v, f, k, p) == _triple_product(e, u, v, f, k, p), (u, v, f.coeffs, k)
 
 
@@ -145,8 +145,8 @@ def test_kgw3_refuses_a_class_on_another_quotient(engine):
     # P = {2} at k = 1 pulls back to P_k = {}, which used to accept a class on G/B and return 1
     e = engine("A2")
     s1 = e.W.simple(1)
-    for p, f_p in (({2}, ()), ((), {2})):
-        with pytest.raises(ValueError, match=re.escape(f"P = {sorted(p)}") + ".*" + re.escape(f"P = {sorted(f_p)}")):
+    for p, f_p, words in (({2}, (), "G/P for P = [2], not on G/B"), ((), {2}, "G/B, not on G/P for P = [2]")):
+        with pytest.raises(ValueError, match=re.escape(words)):
             kgw3(e, s1, s1, exp_one(e, "1", f_p), 1, p)
 
 
@@ -154,8 +154,8 @@ def test_kgw3_takes_a_class_whose_quotient_is_a_tuple(engine):
     # F's quotient (2,) is P = {2}: it used to be refused as "not on P = [2]"
     e = engine("A2")
     s1, one = e.W.simple(1), e.ring_one()
-    want = kgw3(e, s1, s1, SchubertExpansion({s1: one}, frozenset({2})), 1, {2})
-    assert kgw3(e, s1, s1, SchubertExpansion({s1: one}, (2,)), 1, {2}) == want
+    want = kgw3(e, s1, s1, SchubertExpansion(e.datum, {s1: one}, frozenset({2})), 1, {2})
+    assert kgw3(e, s1, s1, SchubertExpansion(e.datum, {s1: one}, (2,)), 1, {2}) == want
 
 
 def test_kgw2_examples(engine):
@@ -291,7 +291,7 @@ _POINT_OPERATIONS = {
     "curve_neighborhood": (1, lambda e, p, u: curve_neighborhood(e, "X", u, 1, p)),
     "projected_gw": (2, lambda e, p, u, v: projected_gw(e, u, v, 1, p)),
     "boundary_projected_gw": (2, lambda e, p, u, v: boundary_projected_gw(e, u, v, 1, p)),
-    "kgw3": (3, lambda e, p, u, v, w: kgw3(e, u, v, SchubertExpansion({w: e.ring_one()}, p), 1, p)),
+    "kgw3": (3, lambda e, p, u, v, w: kgw3(e, u, v, SchubertExpansion(e.datum, {w: e.ring_one()}, p), 1, p)),
     "kgw2": (2, lambda e, p, z, w: kgw2(e, z, w, 1, p)),
     "qk_constant_kfree": (3, lambda e, p, u, v, w: qk_constant_kfree(e, u, v, w, 1, p)),
     "qk_constant_divided_difference": (3, lambda e, p, u, v, w: qk_constant_divided_difference(e, u, v, w, 1, p)),
@@ -368,7 +368,7 @@ def test_each_pair_sweep_gates_once(engine, monkeypatch, sweep):
 _GATED_AT_K = {
     "curve_neighborhood": lambda e, p, k, x: curve_neighborhood(e, "X", x, k, p),
     "projected_gw": lambda e, p, k, x: projected_gw(e, x, x, k, p),
-    "kgw3": lambda e, p, k, x: kgw3(e, x, x, SchubertExpansion({e.W.identity: e.ring_one()}, p), k, p),
+    "kgw3": lambda e, p, k, x: kgw3(e, x, x, SchubertExpansion(e.datum, {e.W.identity: e.ring_one()}, p), k, p),
     "kgw2": lambda e, p, k, x: kgw2(e, x, x, k, p),
     "qk_constant_kfree": lambda e, p, k, x: qk_constant_kfree(e, x, x, x, k, p),
     "qk_constant_divided_difference": lambda e, p, k, x: qk_constant_divided_difference(e, x, x, x, k, p),
@@ -397,7 +397,7 @@ def test_kgw3_refuses_a_class_index_outside_wp(engine):
     built, before kgw3 could pair it on the k-free reduction G/B."""
     e = engine("A2")
     with pytest.raises(ValueError, match=re.escape("2 is not a minimal representative for [2]")) as info:
-        f = SchubertExpansion({e.W.simple(2): e.ring_one()}, frozenset({2}))
+        f = SchubertExpansion(e.datum, {e.W.simple(2): e.ring_one()}, frozenset({2}))
         kgw3(e, e.W.identity, e.W.identity, f, 1, {2})
     assert not isinstance(info.value, GateError)
 
@@ -671,7 +671,7 @@ def test_peterson_sweep_reports_each_failing_triple(monkeypatch):
     good = real(s1, s2, p)
     bad = dict(good.coeffs)
     bad[e.W.identity] = e.ring_one()  # O^{s1} . O^{s2} has no O^e term on G/P_k
-    bad = SchubertExpansion(bad, p)
+    bad = SchubertExpansion(e.datum, bad, p)
 
     def perturbed(u, v, parabolic=()):  # the fault for {s1, s2} on {3}, in either order
         hit = {u, v} == {s1, s2} and weyl.normalize_parabolic(e.datum, parabolic) == p
