@@ -109,9 +109,9 @@ class SchubertExpansion:
         _seal(self, "coeffs")
 
     def coeff(self, w: WeylElement) -> RingElt:
-        """The coefficient of O^w, zero off the support; GroupMismatchError for
-        a w of another group than the Weyl group of the datum."""
-        WeylGroup.for_datum(self.datum).require(w)
+        """The coefficient of O^w, zero off the support; GroupMismatchError for a w of
+        another group, ValueError for one outside W^P of the quotient, where no O^w exists."""
+        WeylGroup.for_datum(self.datum).require(w, parabolic=self.parabolic)
         got = self.coeffs.get(w)
         return RingElt.zero(self.datum.rank) if got is None else got
 

@@ -342,26 +342,26 @@ def equivariant_positivity_diagnostic(engine: KTEngine, p, k) -> CheckReport:
 
 
 def _peterson_failures(engine: KTEngine, u, v, k, pk, ws, chi: dict) -> dict:
-    """{w: (lhs, mid, rhs)} where the rows against O^w on G/P_k, O^w on G/B and
-    O^{w w_{P_k}} on G/B disagree; with P_k empty the three are one call, made once."""
-    wpk = weyl.longest_element(engine.W, pk)
-    lhs = list(_pairing_row(engine, u, v, k, pk, ws, chi))
-    mid = _pairing_row(engine, u, v, k, frozenset(), ws, chi) if pk else lhs  # G/B is its own k-free reduction
-    rhs = _pairing_row(engine, u, v, k, frozenset(), [w * wpk for w in ws], chi) if pk else lhs
-    return {w: (a, b, c) for w, a, b, c in zip(ws, lhs, mid, rhs) if not a == b == c}
+    """{w: (lhs, mid)} where the rows against O^w on G/P_k and on G/B disagree.
+    With P_k empty the two rows are one sum, so nothing is computed."""
+    if not pk:
+        return {}
+    lhs = _pairing_row(engine, u, v, k, pk, ws, chi)
+    mid = _pairing_row(engine, u, v, k, frozenset(), ws, chi)  # G/B is its own k-free reduction
+    return {w: (a, b) for w, a, b in zip(ws, lhs, mid) if a != b}
 
 
 def _peterson_report(engine: KTEngine, p, k, u, v, w, failure) -> CheckReport:
-    """One triple's report: failing, with (u, v, w, lhs, mid, rhs), when ``failure`` holds the values."""
+    """One triple's report: failing, with (u, v, w, lhs, mid), when ``failure`` holds the values."""
     witnesses = [(u.word_str, v.word_str, w.word_str, *map(repr, failure))] if failure else []
     return _report("peterson", engine, p, k, witnesses, {"u": u.word_str, "v": v.word_str, "w": w.word_str})
 
 
 def peterson_check(engine: KTEngine, p, k, u, v, w) -> CheckReport:
-    """Quotient-to-full-flag comparison of kgw3 against O^w on G/P, O^w on G/B
-    and O^{w w_{P_k}} on G/B: one gate, then the three pairing rows over the
-    one index w.  With P_k empty the three are one sum computed three times and
-    the check cannot fail: A3/{1,3} at k = 2, A3/{2} at both nodes."""
+    """Quotient-to-full-flag comparison of kgw3 against O^w: one gate, then the
+    pairing rows on G/P_k and on G/B over the one index w.  With P_k empty the
+    two are one sum and nothing is computed: every full flag, A3/{1,3} at k = 2,
+    A3/{2} at both nodes."""
     p, pk = _gate(engine, p, k, u, v, w)
     return _peterson_report(engine, p, k, u, v, w, _peterson_failures(engine, u, v, k, pk, [w], {}).get(w))
 
@@ -370,7 +370,7 @@ def peterson_sweep(engine: KTEngine, p, k) -> list[CheckReport]:
     """peterson_check on every triple of minimal representatives: the reports
     of the failing triples in (u, v, w) order, then one summary counting the
     triples.  One gate; the values depend on u, v only through {u_k, v_k}, so
-    each distinct pair gets one row over W^P, with one chi table per sweep."""
+    each distinct pair gets one pair of rows over W^P, with one chi table per sweep."""
     p, pk = _gate(engine, p, k)
     reps = weyl.enumerate_wp(engine.W, p)
     chi, failures, reports = {}, {}, []

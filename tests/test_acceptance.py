@@ -15,12 +15,14 @@ from qkline import repring, weyl
 from qkline.golden import check_classical_fixture, check_golden_fixture
 from qkline.ktheory import SchubertExpansion
 from qkline.qklines import (
+    CheckReport,
     GateError,
     cor_xi_sum,
     curve_neighborhood,
     kgw2,
     kgw3,
     peterson_check,
+    peterson_sweep,
     projected_gw,
     qk_constant_divided_difference,
     qk_constant_general,
@@ -194,8 +196,16 @@ def test_criterion_08_peterson_and_dual_sum(engine):
                         expected = expected + c
                 if cor_xi_sum(e, u, v, w, k, p, pk) != expected:
                     bad.append(("dual-sum", u.word_str, v.word_str, w.word_str))
+    # P_k is empty above, so its Peterson half compares one sum with itself;
+    # on A3/{3} at k = 1, P_k = {3} and the quotient side is computed apart from G/B
+    a3 = engine("A3")
+    assert weyl.build_Pk(a3.datum, {3}, 1) == {3}
+    n = len(weyl.enumerate_wp(a3.W, {3}))
+    summary = CheckReport("peterson", "A3", (3,), 1, "pass", (), {"triples_checked": n ** 3})
+    if peterson_sweep(a3, {3}, 1) != [summary]:
+        bad.append(("peterson-sweep", "A3", "{3}", "k=1"))
     report(8, "parabolic comparison and dual-class sum", not bad,
-           f"{len(reps) ** 3} triples, both identities")
+           f"{len(reps) ** 3} + {n ** 3} triples, both identities")
 
 
 def test_criterion_09_brion_sign_property(engine):

@@ -591,6 +591,16 @@ def test_readers_refuse_an_element_of_another_group(engine):
             e.schubert_class(s1, {2}).value(foreign)
 
 
+def test_an_expansion_refuses_an_index_outside_its_quotient(engine):
+    # no basis class O^{s2} exists on G/{2}; KClass.value reads such a point at its coset, coeff has no such reading
+    e = engine("A2")
+    s1, s2 = e.W.simple(1), e.W.simple(2)
+    consts = e.structure_constants(s1, s1, {2})
+    assert consts.coeff(e.W.identity) == e.ring_zero()
+    with pytest.raises(ValueError, match=r"2 is not a minimal representative for \[2\]"):
+        consts.coeff(s2)
+
+
 def test_an_empty_expansion_reads_zero_only_in_its_own_group(engine):
     # an empty expansion had no datum, so it read zero at an element of any group
     e = engine("A2")

@@ -687,7 +687,67 @@ def test_peterson_sweep_reports_each_failing_triple(monkeypatch):
         assert (rep.check, rep.status, rep.k, rep.parabolic) == ("peterson", "fail", 1, (3,))
         (witness,) = rep.witnesses
         assert witness[:3] == (rep.details["u"], rep.details["v"], rep.details["w"])
-        assert witness[3] != witness[4] == witness[5]  # the quotient value against the full flag
+        assert len(witness) == 5 and witness[3] != witness[4]  # the quotient value against the full flag
+
+
+@pytest.mark.parametrize("group, p, k", [("A3", {1, 3}, 2), ("A3", (), 1)])
+def test_peterson_sweep_computes_nothing_where_pk_is_empty(engine, monkeypatch, group, p, k):
+    # with P_k empty the rows on G/P_k and on G/B are one sum: no pairing is made
+    from qkline import qklines
+
+    e = engine(group)
+    assert weyl.build_Pk(e.datum, p, k) == set()
+
+    def refuse(*args):
+        raise AssertionError("a pairing row was computed")
+
+    monkeypatch.setattr(qklines, "_pairing_row", refuse)
+    n = len(weyl.enumerate_wp(e.W, p))
+    summary = CheckReport("peterson", group, tuple(sorted(p)), k, "pass", (), {"triples_checked": n ** 3})
+    assert peterson_sweep(e, p, k) == [summary]
+
+
+def _twisted_row_failures(e, p, k):
+    """(u, v, w) where the G/B pairing row against O^{w w_{P_k}} differs from the
+    row against O^w, over W^P for each distinct {u_k, v_k}, with one chi table as
+    in the sweep.  By the projection formula the two rows are equal."""
+    from qkline import qklines
+
+    wpk = weyl.longest_element(e.W, weyl.build_Pk(e.datum, p, k))
+    reps = weyl.enumerate_wp(e.W, p)
+    twisted = [w * wpk for w in reps]
+    chi, seen, bad = {}, set(), []
+    for u, v in itertools.product(reps, repeat=2):
+        key = frozenset((weyl.hecke_down(u, k), weyl.hecke_down(v, k)))
+        if key not in seen:
+            seen.add(key)
+            rows = (qklines._pairing_row(e, u, v, k, frozenset(), ws, chi) for ws in (reps, twisted))
+            bad.extend((u.word_str, v.word_str, w.word_str) for w, a, b in zip(reps, *rows) if a != b)
+    return bad
+
+
+@pytest.mark.parametrize("group, p, k, pk", [("A3", {3}, 1, {3}), ("C3", {1}, 3, {1})])
+def test_full_flag_pairing_is_constant_on_pk_cosets(engine, group, p, k, pk):
+    e = engine(group)
+    assert weyl.build_Pk(e.datum, p, k) == pk
+    assert _twisted_row_failures(e, p, k) == []
+
+
+def test_full_flag_pairing_at_twisted_indices_can_fail(monkeypatch):
+    # a fault in one G/B constant c_{e, w_{P_k}}: at u = v = w = e the twisted row reads it, the untwisted one does not
+    e = KTEngine(named_datum("A3"))  # its structure constants are perturbed: not the shared engine
+    p = frozenset({3})
+    wpk = weyl.longest_element(e.W, weyl.build_Pk(e.datum, p, 1))
+    real = e.structure_constants
+    good = real(e.W.identity, wpk, ())
+    bad = SchubertExpansion(e.datum, {**good.coeffs, e.W.identity: e.ring_one()})
+
+    def perturbed(u, v, parabolic=()):
+        hit = u is e.W.identity and v is wpk and not parabolic
+        return bad if hit else real(u, v, parabolic)
+
+    monkeypatch.setattr(e, "structure_constants", perturbed)
+    assert ("e", "e", "e") in _twisted_row_failures(e, p, 1)
 
 
 @pytest.mark.parametrize("fault", ["class", "triangularity", "diagonal"])
