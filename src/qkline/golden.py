@@ -92,11 +92,9 @@ def _parse_rows(datum, fixture) -> list[GoldenRow]:
 
 
 def _mirror_word(word: str, perm: dict[int, int], group) -> str:
-    """Letterwise image of the word, re-emitted in canonical form (the
-    letterwise image need not be the lex-minimal reduced word)."""
-    if word == "e":
-        return "e"
-    return group.from_word([perm[int(ch)] for ch in word]).word_str
+    """Letterwise image of the word's reduced word, re-emitted in canonical form
+    (the letterwise image need not be the lex-minimal reduced word)."""
+    return group.from_word([perm[k] for k in group.parse_word(word).word]).word_str
 
 
 def _mirror_elt(val: RingElt, perm: dict[int, int]) -> RingElt:

@@ -178,13 +178,13 @@ class KTEngine:
             one_minus_e = self._one_minus_e(rootsys.simple_root(datum, k))
             e = self.ring_one() - one_minus_e  # e^{-alpha_k}
             col: dict[WeylElement, RingElt] = {}
-            for x, val in cols[W.left_mult_gen(k, w)].items():
+            for x, val in cols[w.left_mult_gen(k)].items():
                 t = repring.simple_reflection(val, datum, k, bound)
                 if x.has_left_descent(k):
                     accumulate(col, x, e * t)
                     continue
                 accumulate(col, x, t)
-                y = W.left_mult_gen(k, x)
+                y = x.left_mult_gen(k)
                 if weyl.in_wp(y, p):
                     accumulate(col, y, one_minus_e * t)
             cols[w] = col
@@ -207,14 +207,13 @@ class KTEngine:
         (w, w s_k); sends O^v to O^{v_k} and is idempotent.  Acts on G/B."""
         rootsys.check_index(self.datum, k)
         self._require_on(c, "demazure", frozenset())
-        W = self.W
         pts = dict.fromkeys(c.restrictions)  # insertion-ordered, so the output never follows addresses
-        pts.update(dict.fromkeys(W.right_mult_gen(w, k) for w in c.restrictions))
+        pts.update(dict.fromkeys(w.right_mult_gen(k) for w in c.restrictions))
         out = {}
         one, zero, vals = self.ring_one(), self.ring_zero(), c.restrictions
         for w in pts:
             t = RingElt.monomial(self.rank, rootsys.alpha_to_omega(self.datum, w.table[k - 1]))  # e^{w(alpha_k)}
-            num = vals.get(w, zero) - t * vals.get(W.right_mult_gen(w, k), zero)
+            num = vals.get(w, zero) - t * vals.get(w.right_mult_gen(k), zero)
             if num:
                 out[w] = exact_divide(num, one - t)
         return KClass(self.datum, out)

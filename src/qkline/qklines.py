@@ -91,8 +91,9 @@ def _pairing_row(engine: KTEngine, u, v, k, pk, ws, chi: dict) -> Iterator[RingE
 
 def _fibre_sums(engine: KTEngine, u, v, k, p, pk) -> dict[WeylElement, RingElt]:
     """quantum_coefficients' two coset-fibre sums, for (P, P_k) from a gate."""
-    up = engine.structure_constants(hecke_down(u, k), hecke_down(v, k), pk)
-    acc = dict(engine.pushforward(up, p).coeffs)  # owned here: the read-only coefficients are copied
+    acc: dict[WeylElement, RingElt] = {}
+    for z, cf in engine.structure_constants(hecke_down(u, k), hecke_down(v, k), pk).coeffs.items():
+        repring.accumulate(acc, min_coset_rep(z, p), cf)
     for b, cf in engine.structure_constants(u, v, p).coeffs.items():
         repring.accumulate(acc, min_coset_rep(hecke_down(b, k), p), -cf)
     return acc

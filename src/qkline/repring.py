@@ -9,8 +9,9 @@ natural ordering realizes graded-lex order on exponents (total degree field
 first, then the coordinates, each shifted by a fixed offset into a 24-bit
 field; a coordinate outside ``[-2**23, 2**23)`` is refused).  Packing is
 additive, so ``e^lam * e^mu`` is one integer addition and a move along a
-root, ``lam - t beta`` with ``t`` read off one field, one multiply-subtract
-(``_move_into``): the Weyl action and the test of ``a - b`` by ``1 - e^beta`` use it.
+root, ``lam - t beta`` with ``t`` read off one field, one multiply-subtract: the Weyl
+action and the test of ``a - b`` by ``1 - e^beta`` share that move (``_move_into``) and
+its cached per-root step (``_root_move``).
 Packed order makes the leading-term scans of exact division cheap.  The
 packing is an internal detail: the public API speaks exponent tuples.
 
@@ -19,7 +20,7 @@ bound on ``|coordinate|`` over its exponents: a sum gets the larger of its
 summands' bounds, a product or a quotient the sum of its operands' bounds.
 A product or quotient whose bound could reach the edge of a field is
 checked exactly and refused with ``ValueError``, like ``_pack``; a move along
-a root whose bound could reach it takes a checked route instead.  The test
+a root whose bound could reach it moves exponent tuples instead.  The test
 is O(1) per operation and nothing is unpacked in the inner loops.
 
 Elements are immutable once shared: the one product loop, ``subtract_product``
@@ -41,7 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from . import rootsys
 from .rootsys import CartanDatum
@@ -287,36 +288,37 @@ def weyl_act(w, a: RingElt) -> RingElt:
 
 
 def simple_reflection(a: RingElt, datum: CartanDatum, k: int, bound: int | None = None) -> RingElt:
-    """``weyl_act(s_k, a)`` on packed keys: ``s_k lam = lam - lam_k alpha_k``.
-    The result's bound is ``a``'s times ``1 + max |alpha_k|``, or a smaller
-    ``bound`` that the caller has proved; at the edge of a field the terms go
-    through ``rootsys.reflect`` and the checked packing, raising ValueError."""
+    """``weyl_act(s_k, a)``: ``s_k lam = lam - lam_k alpha_k``, the move along alpha_k (column k
+    of A) at field k - 1.  The result's bound is ``a``'s times ``1 + max |alpha_k|``, or a smaller
+    ``bound`` that the caller has proved; at the edge of a field the moved tuples go through the
+    checked packing, raising ValueError."""
     if a.rank != datum.rank:
         raise ValueError("rank mismatch between ring element and root datum")
-    alpha, shift, step = _reflection_step(datum, k)
-    generic = a._bound * (1 + max(map(abs, alpha)))
-    bound = generic if bound is None else min(bound, generic)
-    if bound >= _COORD_OFF:
-        return a.map_exponents(partial(rootsys.reflect, datum, k))
-    return RingElt(a.rank, _move_into({}, a._terms, shift, 1, step), bound)  # a bijection on keys: nothing cancels
+    rootsys.check_index(datum, k)
+    alpha = tuple(row[k - 1] for row in datum.cartan)
+    move = _root_move(a.rank, alpha, k - 1)
+    bound = min(a._bound * move[1], math.inf if bound is None else bound)
+    if bound < _COORD_OFF:  # a bijection on keys: nothing cancels
+        return RingElt(a.rank, _move_into({}, a, alpha, move, 1, True), bound)
+    return RingElt.from_terms(a.rank, _move_into({}, a, alpha, move, 1, False).items())
 
 
-@lru_cache(maxsize=None)
-def _reflection_step(datum: CartanDatum, k: int):
-    """alpha_k in weight coordinates, the shift of field k and packed(alpha_k)."""
-    alpha = rootsys.alpha_to_omega(datum, rootsys.simple_root(datum, k))
-    shifts, _, key0, _ = _codec(datum.rank)
-    return alpha, shifts[k - 1], _pack(datum.rank, alpha) - key0
-
-
-def _move_into(out: dict, terms: dict, shift: int, d: int, step: int, sign: int = 1) -> dict:
-    """``out[k] += sign * c`` at the packed key k of ``lam - floor(lam_j / d) beta`` per term
-    (packed lam, c) of ``terms``, field j at ``shift``, ``step`` = packed(beta) off by key0."""
-    mask = (1 << _COORD_BITS) - 1
+def _move_into(out: dict, a: RingElt, beta: tuple[int, ...], move, d: int, packed: bool, sign: int = 1) -> dict:
+    """``out[m] += sign * c`` per term ``c e^lam`` of ``a``, at ``m = lam - floor(lam_j / d) beta``
+    with j, shift j and packed(beta) - key0 from ``move`` (``_root_move``): a packed key when
+    ``packed`` (the caller has bounded every moved coordinate inside its field), else an
+    exponent tuple, so no key is formed past a field's edge."""
+    j, _, shift, step = move
     get = out.get
-    for key, c in terms.items():
-        k = key - ((((key >> shift) & mask) - _COORD_OFF) // d) * step
-        out[k] = get(k, 0) + sign * c
+    if packed:
+        mask = (1 << _COORD_BITS) - 1
+        for key, c in a._terms.items():
+            m = key - ((((key >> shift) & mask) - _COORD_OFF) // d) * step
+            out[m] = get(m, 0) + sign * c
+        return out
+    for lam, c in ((_unpack(a.rank, key), c) for key, c in a._terms.items()):
+        m = tuple(x - lam[j] // d * y for x, y in zip(lam, beta))
+        out[m] = get(m, 0) + sign * c
     return out
 
 
@@ -367,40 +369,36 @@ def exact_divide(a: RingElt, b: RingElt) -> RingElt:
 def divides_one_minus_e(a: RingElt, beta_weight_coords, b: RingElt | None = None) -> bool:
     """Whether ``a - b`` (``a`` when ``b`` is None) is divisible by 1 - e^beta: the
     coefficient sums over every coset modulo Z*beta vanish.  The terms of both operands,
-    +c for ``a`` and -c for ``b``, move into one dict of coset sums, to the member whose
-    coordinate j, the first nonzero one of beta, lies between 0 and beta_j: packed keys by
-    the cached per-root move, tuples at a field's edge.  A non-integer beta raises TypeError."""
+    +c for ``a`` and -c for ``b``, make two moves into one dict of coset sums, to the member
+    whose coordinate j, the first nonzero one of beta, lies between 0 and beta_j: packed keys
+    while every moved coordinate fits its field, else tuples.  A non-integer beta raises TypeError."""
     beta = tuple(map(rootsys.as_int, beta_weight_coords))
     if b is not None:
         a._check(b)
-    b_terms, b_bound = ({}, 0) if b is None else (b._terms, b._bound)
-    j, edge, shift, step = _root_move(a.rank, beta)
-    if a._terms == b_terms:
+    move = _root_move(a.rank, beta)
+    if a._terms == ({} if b is None else b._terms):
         return True
-    if max(a._bound, b_bound) < edge:
-        sums = _move_into(_move_into({}, a._terms, shift, beta[j], step), b_terms, shift, beta[j], step, -1)
-    else:
-        sums = {}
-        for terms, sign in ((a._terms, 1), (b_terms, -1)):
-            for lam, c in ((_unpack(a.rank, key), c) for key, c in terms.items()):
-                moved = tuple(x - lam[j] // beta[j] * y for x, y in zip(lam, beta))
-                sums[moved] = sums.get(moved, 0) + sign * c
+    j, reach = move[:2]
+    packed = max(a._bound, 0 if b is None else b._bound) * reach < _COORD_OFF
+    sums = _move_into({}, a, beta, move, beta[j], packed)
+    if b is not None:
+        _move_into(sums, b, beta, move, beta[j], packed, -1)
     return not any(sums.values())
 
 
-@lru_cache(maxsize=256)  # more than the 120 positive roots of E8, the most of any finite root system
-def _root_move(rank: int, beta: tuple[int, ...]):
-    """j, the first nonzero coordinate of beta; the least operand bound at which a moved
-    coordinate (at most bound * (1 + max |beta|)) could leave its field; shift j; packed(beta) - key0."""
+@lru_cache(maxsize=256)  # more than the 120 positive and 8 simple roots of E8, the most of any finite root system
+def _root_move(rank: int, beta: tuple[int, ...], j: int | None = None):
+    """The one step along beta: j, by default the first nonzero coordinate of beta; 1 + max |beta|,
+    which times an operand's bound bounds every moved coordinate; shift j; packed(beta) - key0."""
     if len(beta) != rank:
         raise ValueError(f"root {beta} does not have length {rank}, the rank")
-    j = next((i for i, x in enumerate(beta) if x), None)
-    if j is None:
+    if not any(beta):
         raise ZeroDivisionError("division by the zero ring element")
+    j = next(i for i, x in enumerate(beta) if x) if j is None else j
     shifts, _, key0, _ = _codec(rank)
     reach = 1 + max(map(abs, beta))
     step = _pack(rank, beta) - key0 if reach <= _COORD_OFF else 0  # else only bound 0 (no key moves) is packed
-    return j, -(-_COORD_OFF // reach), shifts[j], step
+    return j, reach, shifts[j], step
 
 
 def rewrite_in_shifted_basis(a: RingElt, datum: CartanDatum) -> dict[tuple[int, ...], int]:

@@ -148,7 +148,6 @@ def named_datum(label: str) -> CartanDatum:
         if n < 2:
             raise CartanError("type B needs rank >= 2")
         a = _chain_matrix(n)
-        a[n - 2][n - 1] = -1
         a[n - 1][n - 2] = -2
     elif family == "C":
         # alpha_n is the long root; alpha_1..alpha_{n-1} are short
@@ -156,7 +155,6 @@ def named_datum(label: str) -> CartanDatum:
             raise CartanError("type C needs rank >= 2")
         a = _chain_matrix(n)
         a[n - 2][n - 1] = -2
-        a[n - 1][n - 2] = -1
     elif family == "D":
         if n < 3:
             raise CartanError("type D needs rank >= 3")
@@ -176,7 +174,6 @@ def named_datum(label: str) -> CartanDatum:
         if n != 4:
             raise CartanError("type F needs rank 4")
         a = _chain_matrix(4)
-        a[1][2] = -1
         a[2][1] = -2
     elif family == "G":
         if n != 2:

@@ -5,8 +5,9 @@ An element is stored by its root-image table: the tuple
 simple-root coordinates.  A group interns its elements by table, so one
 table gives one object: equality and hashing are object identity, and
 per-element caches are shared: the reduced word, the inversions, the descent
-flags and the neighbours ``w s_k`` and ``s_k w``.  A node's flag or neighbour
-is read only after ``rootsys.check_index``: node 0 or -1 would read from the end.
+flags and the neighbours ``w s_k`` and ``s_k w``, which w's methods ``right_mult_gen``
+and ``left_mult_gen`` intern in w's own group.  A flag or neighbour is read only
+after ``rootsys.check_index``: node 0 or -1 would read from the end.
 
 Words are exchanged with the outside world as digit strings: ``"121"`` means
 ``s_1 s_2 s_1`` (applied right to left as maps), ``"e"`` or ``""`` is the
@@ -30,7 +31,6 @@ with identical recomputed entries: concurrent readers are safe, writers at worst
 
 from __future__ import annotations
 
-import threading
 from collections import Counter
 from functools import lru_cache
 
@@ -125,7 +125,7 @@ class WeylElement:
                 self._word = ()
             else:
                 k = next(i for i in range(1, self.group.rank + 1) if self.has_left_descent(i))
-                self._word = (k,) + self.group.left_mult_gen(k, self).word
+                self._word = (k,) + self.left_mult_gen(k).word
         return self._word
 
     @property
@@ -142,6 +142,28 @@ class WeylElement:
 
     # -- products -----------------------------------------------------------
 
+    def right_mult_gen(self, k: int) -> "WeylElement":
+        """w s_k via the column update w(s_k alpha_i) = w(alpha_i) - A[k][i] w(alpha_k)
+        (A[k][k] = 2 negates column k), interned in w's group; cached on w and, as
+        (w s_k) s_k = w, on the product."""
+        rootsys.check_index(self.group.datum, k)
+        got = self._right[k - 1]
+        if got is None:
+            colk, cols = self.table[k - 1], zip(self.table, self.group.datum.cartan[k - 1])
+            got = self.group.intern(tuple(tuple(x - c * y for x, y in zip(col, colk)) if c else col for col, c in cols))
+            got._right[k - 1], self._right[k - 1] = self, got
+        return got
+
+    def left_mult_gen(self, k: int) -> "WeylElement":
+        """s_k w, applying s_k to every column of the table, interned in w's group;
+        cached on w and, as s_k (s_k w) = w, on the product."""
+        rootsys.check_index(self.group.datum, k)
+        got = self._left[k - 1]
+        if got is None:
+            got = self.group.intern(tuple(rootsys.reflect_root_coords(self.group.datum, k, col) for col in self.table))
+            got._left[k - 1], self._left[k - 1] = self, got
+        return got
+
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if not isinstance(other, WeylElement):
             return NotImplemented
@@ -156,7 +178,6 @@ class WeylGroup:
     """The Weyl group of a Cartan datum, with interned elements."""
 
     _shared: dict[CartanDatum, "WeylGroup"] = {}  # for_datum's groups
-    _shared_lock = threading.Lock()
 
     def __init__(self, datum: CartanDatum):
         self.datum = datum
@@ -170,10 +191,10 @@ class WeylGroup:
     @classmethod
     def for_datum(cls, datum: CartanDatum) -> "WeylGroup":
         """The shared group of ``datum``: the first one stored, for every caller."""
-        with cls._shared_lock:  # look up and store as one step: a racing miss must not store a second group
-            if datum not in cls._shared:
-                cls._shared[datum] = cls(datum)
-            return cls._shared[datum]
+        got = cls._shared.get(datum)
+        if got is None:  # setdefault is atomic under the GIL, as in intern: a racing miss gets the first group
+            got = cls._shared.setdefault(datum, cls(datum))
+        return got
 
     def require(self, *points: WeylElement, parabolic: frozenset[int] = frozenset()) -> None:
         """GroupMismatchError for a point of another group, then ValueError for one outside W^P."""
@@ -193,35 +214,12 @@ class WeylGroup:
         return el
 
     def simple(self, k: int) -> WeylElement:
-        return self.left_mult_gen(k, self.identity)
-
-    def left_mult_gen(self, k: int, w: WeylElement) -> WeylElement:
-        """s_k * w, applying s_k to every column of the table; cached on w and,
-        as s_k (s_k w) = w, on the product."""
-        rootsys.check_index(self.datum, k)
-        self.require(w)  # a foreign w would put this group's elements into its caches
-        got = w._left[k - 1]
-        if got is None:
-            got = self.intern(tuple(rootsys.reflect_root_coords(self.datum, k, col) for col in w.table))
-            got._left[k - 1], w._left[k - 1] = w, got
-        return got
-
-    def right_mult_gen(self, w: WeylElement, k: int) -> WeylElement:
-        """w * s_k via the column update w(s_k alpha_i) = w(alpha_i) - A[k][i] w(alpha_k)
-        (A[k][k] = 2 negates column k); cached on w and, as (w s_k) s_k = w, on the product."""
-        rootsys.check_index(self.datum, k)
-        self.require(w)
-        got = w._right[k - 1]
-        if got is None:
-            colk, cols = w.table[k - 1], zip(w.table, self.datum.cartan[k - 1])
-            got = self.intern(tuple(tuple(x - c * y for x, y in zip(col, colk)) if c else col for col, c in cols))
-            got._right[k - 1], w._right[k - 1] = w, got
-        return got
+        return self.identity.left_mult_gen(k)
 
     def from_word(self, word) -> WeylElement:
         w = self.identity
         for k in word:
-            w = self.right_mult_gen(w, k)
+            w = w.right_mult_gen(k)
         return w
 
     def parse_word(self, text: str) -> WeylElement:
@@ -284,7 +282,7 @@ def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
             return False
         k = w.right_descents()[0]
         u = hecke_down(u, k)
-        w = u.group.right_mult_gen(w, k)
+        w = w.right_mult_gen(k)
     return True
 
 
@@ -296,13 +294,12 @@ def min_coset_rep(w: WeylElement, p) -> WeylElement:
 def _right_walk(w: WeylElement, p: frozenset[int], descent: bool) -> WeylElement:
     """Right-multiply w by s_i, i in p, wherever w has (``descent``) or lacks a
     right descent at i, in passes over sorted(p) until a pass changes nothing."""
-    group = w.group
     changed = True
     while changed:
         changed = False
         for i in sorted(p):
             if w.has_right_descent(i) == descent:
-                w = group.right_mult_gen(w, i)
+                w = w.right_mult_gen(i)
                 changed = True
     return w
 
@@ -325,7 +322,7 @@ def enumerate_wp(group: WeylGroup, p) -> tuple[WeylElement, ...]:
         ks, level = range(1, group.rank + 1), [group.identity]
         found = list(level)
         while level:
-            up = {group.left_mult_gen(k, x) for x in level for k in ks if not x.has_left_descent(k)}
+            up = {x.left_mult_gen(k) for x in level for k in ks if not x.has_left_descent(k)}
             level = sorted((y for y in up if in_wp(y, p)), key=lambda w: w.sort_key)
             found += level
         got = group._wp.setdefault(p, tuple(found))
@@ -334,12 +331,12 @@ def enumerate_wp(group: WeylGroup, p) -> tuple[WeylElement, ...]:
 
 def hecke_down(w: WeylElement, k: int) -> WeylElement:
     """w s_k when that shortens w, else w; the result has no descent at k."""
-    return w.group.right_mult_gen(w, k) if w.has_right_descent(k) else w
+    return w.right_mult_gen(k) if w.has_right_descent(k) else w
 
 
 def hecke_up(w: WeylElement, k: int) -> WeylElement:
     """w s_k when that lengthens w, else w; the result has a descent at k."""
-    return w if w.has_right_descent(k) else w.group.right_mult_gen(w, k)
+    return w if w.has_right_descent(k) else w.right_mult_gen(k)
 
 
 @lru_cache(maxsize=None)

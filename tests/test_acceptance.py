@@ -177,7 +177,7 @@ def test_criterion_07_gkm_property_suite(engine):
            f"{classes} classes, {products} products, {time.perf_counter() - t0:.1f}s")
 
 
-def test_criterion_08_peterson_and_dual_sum(engine):
+def test_criterion_08_peterson_and_dual_sum(engine, dual_sum_refinement_mismatches):
     e = engine("A2")
     p = frozenset({2})
     k = 1
@@ -204,8 +204,11 @@ def test_criterion_08_peterson_and_dual_sum(engine):
     summary = CheckReport("peterson", "A3", (3,), 1, "pass", (), {"triples_checked": n ** 3})
     if peterson_sweep(a3, {3}, 1) != [summary]:
         bad.append(("peterson-sweep", "A3", "{3}", "k=1"))
+    # the A2 dual sum above is checked against a copy of itself; the sum over the
+    # k-free refinement P_k = {3} must equal the one over the full flag
+    bad += [("dual-sum-refinement", *t) for t in dual_sum_refinement_mismatches(a3, frozenset({3}), 1)]
     report(8, "parabolic comparison and dual-class sum", not bad,
-           f"{len(reps) ** 3} + {n ** 3} triples, both identities")
+           f"{len(reps) ** 3} + {n ** 3} + {n ** 3} triples, three identities")
 
 
 def test_criterion_09_brion_sign_property(engine):

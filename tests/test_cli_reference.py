@@ -8,9 +8,9 @@ hypothesis gates (the peterson sweep on A3/{2} before kgw3 became a pairing
 of memoised structure constants, the one on A3/{3} before every
 membership check became WeylGroup.require, and the one on A3/{1} before the
 sweep paired each (u_k, v_k) row once).  On A3/{3} at k = 1 and on A3/{1}
-at k = 3, P_k = P is not empty, so the sweep pairs on G/P_k and twists by
-w_{P_k} != e: unlike the other pinned peterson sweeps, where P_k is empty,
-these two can fail."""
+at k = 3, P_k = P is not empty, so the sweep compares the pairing row on
+G/P_k with the one on G/B: unlike the other pinned peterson sweeps, where
+P_k is empty and nothing is computed, these two can fail."""
 
 import hashlib
 import json

@@ -478,7 +478,7 @@ def _demazure_classes(e):
         got = {w0: KClass(e.datum, {w0: e.diagonal_value(w0)})}
         for v in sorted(W.elements(), key=lambda w: -w.length)[1:]:
             k = next(i for i in range(1, e.rank + 1) if not v.has_right_descent(i))
-            got[v] = e.demazure(got[W.right_mult_gen(v, k)], k)
+            got[v] = e.demazure(got[v.right_mult_gen(k)], k)
         _DEMAZURE[e.datum] = got
     return got
 

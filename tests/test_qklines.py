@@ -25,7 +25,7 @@ from qkline import (
 )
 from qkline.ktheory import KTEngine, SchubertExpansion
 from qkline.qklines import CheckReport, peterson_sweep
-from qkline.repring import parse_expression
+from qkline.repring import accumulate, parse_expression
 from qkline.rootsys import named_datum
 from qkline.weyl import WeylGroup
 
@@ -477,6 +477,26 @@ def test_cor_xi_sum_matches_general_first_sum(engine):
                     if weyl.min_coset_rep(z, p) is w:
                         expected = expected + c
                 assert cor_xi_sum(e, u, v, w, 1, p, pk) == expected
+
+
+def test_dual_sum_refinement_comparison_reports_a_changed_constant(monkeypatch, dual_sum_refinement_mismatches):
+    # criterion 08 compares the dual-class sums over P_k = {3} and over the full flag on
+    # A3/{3} at k = 1; an O^e term added to c_{s2,s2} on G/{3} reaches the triples with
+    # u_1 = v_1 = s2 (u, v in {2, 21}) at w = e, and no other
+    e = KTEngine(named_datum("A3"))
+    s2, p, real = e.W.simple(2), frozenset({3}), e.structure_constants
+
+    def changed(u, v, parabolic=()):
+        got = real(u, v, parabolic)
+        if (u, v, weyl.normalize_parabolic(e.datum, parabolic)) != (s2, s2, p):
+            return got
+        coeffs = dict(got.coeffs)
+        accumulate(coeffs, e.W.identity, e.ring_one())
+        return SchubertExpansion(e.datum, coeffs, got.parabolic)
+
+    assert dual_sum_refinement_mismatches(e, p, 1) == []
+    monkeypatch.setattr(e, "structure_constants", changed)
+    assert dual_sum_refinement_mismatches(e, p, 1) == [("2", "2", "e"), ("2", "21", "e"), ("21", "2", "e"), ("21", "21", "e")]
 
 
 def test_vanishing_check_reports(engine):

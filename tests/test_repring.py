@@ -521,6 +521,14 @@ def test_simple_reflection_matches_weyl_act_or_raises_at_field_edges(label, k, a
                 build()
 
 
+def test_simple_reflection_refuses_a_float_node_after_node_one():
+    # a step cached by (datum, k) answered s_1 x for k = 1.0 once k = 1 had filled it: 1.0 hashes as 1
+    datum, x = named_datum("A2"), RingElt.monomial(2, (1, 0))
+    assert repring.simple_reflection(x, datum, 1).terms() == [((-1, 1), 1)]
+    with pytest.raises(TypeError, match="1.0 is not an integer"):
+        repring.simple_reflection(x, datum, 1.0)
+
+
 _ROOTS_IN_WEIGHT_COORDS = [
     alpha_to_omega(named_datum(label), beta)
     for label in ("A2", "B2", "G2")
