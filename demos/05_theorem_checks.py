@@ -6,12 +6,11 @@ from qkline.golden import check_golden_fixture
 from qkline.ktheory import KTEngine
 from qkline.qklines import (
     equivariant_positivity_diagnostic,
-    peterson_check,
+    peterson_sweep,
     sign_check,
     vanishing_check,
 )
 from qkline.rootsys import named_datum
-from qkline.weyl import enumerate_wp
 
 for label in ("A2", "C2"):
     engine = KTEngine(named_datum(label))
@@ -24,14 +23,10 @@ for label in ("A2", "C2"):
 print("\nconjectural equivariant positivity (diagnostic only):")
 print(equivariant_positivity_diagnostic(KTEngine(named_datum("C2")), (), 2).to_json())
 
-print("\nparabolic comparison on the projective-plane quotient of A2:")
-engine = KTEngine(named_datum("A2"))
-p = {2}
-reps = enumerate_wp(engine.W, p)
-results = [
-    peterson_check(engine, p, 1, u, v, w) for u in reps for v in reps for w in reps
-]
-print(f"  {sum(r.passed for r in results)}/{len(results)} triples pass")
+print("\nparabolic comparison on A3/P for P = {3} at k = 1, where P_k = {3} is not empty:")
+*failures, summary = peterson_sweep(KTEngine(named_datum("A3")), {3}, 1)
+n = summary.details["triples_checked"]
+print(f"  {n - len(failures)}/{n} triples pass")
 
 print("\ngolden tables:")
 for group in ("A2", "C2"):

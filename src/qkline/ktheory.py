@@ -289,7 +289,7 @@ class KTEngine:
         """Coefficientwise Hecke move of the basis indices: O^w -> O^{w_k}
         (or O_w -> O_{w^k} on the opposite basis)."""
         self._require_on(e, "divided_difference")
-        if weyl.degree_one_decision(self.datum, e.parabolic, rootsys.as_int(k))[0] != e.parabolic:
+        if not weyl.is_k_free(self.datum, e.parabolic, k):
             raise ValueError(f"divided difference needs a k-free parabolic (k={k})")
         move = weyl.hecke_up if opposite else weyl.hecke_down
         out: dict[WeylElement, RingElt] = {}

@@ -44,7 +44,7 @@ import json
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, replace
 
-from . import repring, rootsys, weyl
+from . import repring, weyl
 from .ktheory import KTEngine, SchubertExpansion
 from .repring import RingElt
 from .weyl import WeylElement, bruhat_leq, hecke_down, hecke_up, min_coset_rep
@@ -58,7 +58,7 @@ def _gate(engine: KTEngine, p, k, *points, k_free=False):
     """(P, P_k) once (P, alpha_k) is admissible, or k-free if ``k_free`` (then P_k = P):
     a GateError for the hypothesis, then ``WeylGroup.require`` of the points in W^P."""
     p = weyl.normalize_parabolic(engine.datum, p)
-    pk, admissible = weyl.degree_one_decision(engine.datum, p, rootsys.as_int(k))  # as_int: 1.0 must not hit 1's entry
+    pk, admissible = weyl.degree_one_decision(engine.datum, p, k)
     if k_free and pk != p:
         raise GateError(
             f"parabolic {sorted(p)} is not {k}-free: it contains a node adjacent to "
@@ -245,8 +245,8 @@ def cor_xi_sum(engine: KTEngine, u, v, w, k, p, q) -> RingElt:
     q, _ = _gate(engine, q, k, k_free=True)
     if not q <= p:
         raise ValueError("the refinement must be contained in the parabolic")
-    consts = engine.structure_constants(hecke_down(u, k), hecke_down(v, k), q)
-    return engine.pushforward(consts, p).coeff(w)
+    consts = engine.structure_constants(hecke_down(u, k), hecke_down(v, k), q).coeffs
+    return sum((c for z, c in consts.items() if min_coset_rep(z, p) is w), engine.ring_zero())
 
 
 # -- check reports ------------------------------------------------------------------

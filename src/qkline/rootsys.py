@@ -51,19 +51,23 @@ class CartanDatum:
     """A finite-type Cartan matrix plus length data.
 
     ``cartan[i][j] = <alpha_j, alpha_i^vee>`` (0-based storage; the public
-    query functions below take 1-based node indices).
+    query functions below take 1-based node indices).  Built from integers only
+    (a TypeError names the first other entry); a symmetrizer of None is solved.
     """
 
     rank: int
     cartan: tuple[tuple[int, ...], ...]
-    symmetrizer: tuple[int, ...]
+    symmetrizer: tuple[int, ...] | None = None
     label: str | None = None
 
     def __post_init__(self):
-        a = self.cartan
-        n = self.rank
+        n = as_int(self.rank)
+        a = tuple(tuple(map(as_int, row)) for row in self.cartan)
+        d = None if self.symmetrizer is None else tuple(map(as_int, self.symmetrizer))
         _check_matrix(a, n)
-        d = self.symmetrizer
+        d = _symmetrizer_from_matrix(a) if d is None else d
+        for name, value in (("rank", n), ("cartan", a), ("symmetrizer", d)):
+            object.__setattr__(self, name, value)
         if len(d) != n or any(x <= 0 for x in d):
             raise CartanError("symmetrizer must consist of positive integers")
         for i in range(n):
@@ -113,11 +117,8 @@ def _symmetrizer_from_matrix(a) -> tuple[int, ...]:
 
 def cartan_datum(matrix, symmetrizer=None, label=None) -> CartanDatum:
     """Build a validated CartanDatum from a matrix (any nested-int sequence)."""
-    a = tuple(tuple(map(as_int, row)) for row in matrix)
-    if symmetrizer is None:
-        _check_matrix(a, len(a))
-        symmetrizer = _symmetrizer_from_matrix(a)
-    return CartanDatum(len(a), a, tuple(map(as_int, symmetrizer)), label)
+    a = tuple(matrix)
+    return CartanDatum(len(a), a, symmetrizer, label)
 
 
 def _chain_matrix(n):
@@ -197,6 +198,8 @@ def parse_cartan_file(text: str, label=None) -> CartanDatum:
     if len(rows[0]) != 1:
         raise CartanError(f"the rank line of a Cartan file holds one number, got {' '.join(rows[0])!r}")
     n = int(rows[0][0])
+    if n < 1:
+        raise CartanError(f"the rank line of a Cartan file holds a rank of at least 1, got {n}")
     nums = [[int(x) for x in row] for row in rows[1:]]
     if len(nums) == n:
         matrix, symm = nums, None

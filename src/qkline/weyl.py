@@ -19,9 +19,10 @@ Membership: ``WeylGroup.require(*points, parabolic=P)`` is the one check that
 points are in a group (``GroupMismatchError``), then in ``W^P`` (``ValueError``);
 a class or an expansion runs it once when built and is read-only after.
 
-Degree one: the memo ``degree_one_decision`` owns P_k and the admissibility
-of (P, alpha_k); ``build_Pk``, ``in_class_P``, ``is_k_free``, the quantum gate,
-the suites and the divided difference all read it.
+Degree one: ``degree_one_decision`` owns P_k and the admissibility of
+(P, alpha_k).  It normalises P and converts k itself before it reads its memo,
+so callers pass the values they hold; ``build_Pk``, ``in_class_P``,
+``is_k_free``, the quantum gate, the suites and the divided difference all read it.
 
 Immutability: elements never change after interning, and ``for_datum`` keeps
 the first group stored per datum.  The memos (coset enumerations, W being the
@@ -339,12 +340,16 @@ def hecke_up(w: WeylElement, k: int) -> WeylElement:
     return w if w.has_right_descent(k) else w.right_mult_gen(k)
 
 
+def degree_one_decision(datum: CartanDatum, p, k: int) -> tuple[frozenset[int], bool]:
+    """(P_k, whether (P, alpha_k) is admissible) for a node k outside P, memoised on
+    P normalised and k converted, so 1.0 never reads 1's entry.  P_k drops from Delta_P
+    the nodes adjacent to alpha_k; the pair is admissible when alpha_k is long, or the
+    connected component of k inside Delta_P + {alpha_k} is simply laced."""
+    return _decided(datum, normalize_parabolic(datum, p), rootsys.as_int(k))
+
+
 @lru_cache(maxsize=None)
-def degree_one_decision(datum: CartanDatum, p: frozenset[int], k: int) -> tuple[frozenset[int], bool]:
-    """(P_k, whether (P, alpha_k) is admissible) for a normalised P and an integer k
-    outside it.  P_k drops from Delta_P the nodes adjacent to alpha_k; the pair is
-    admissible when alpha_k is long, or the connected component of k inside
-    Delta_P + {alpha_k} is simply laced."""
+def _decided(datum: CartanDatum, p: frozenset[int], k: int) -> tuple[frozenset[int], bool]:
     rootsys.check_index(datum, k)
     if k in p:
         raise ValueError(f"alpha_{k} lies in the parabolic set")
@@ -362,12 +367,12 @@ def is_k_free(datum: CartanDatum, p, k: int) -> bool:
 
 def in_class_P(datum: CartanDatum, p, k: int) -> bool:
     """Admissibility of the pair (P, alpha_k), read from ``degree_one_decision``."""
-    return degree_one_decision(datum, normalize_parabolic(datum, p), rootsys.as_int(k))[1]
+    return degree_one_decision(datum, p, k)[1]
 
 
 def build_Pk(datum: CartanDatum, p, k: int) -> frozenset[int]:
     """Drop from Delta_P the nodes adjacent to alpha_k; the result is k-free."""
-    return degree_one_decision(datum, normalize_parabolic(datum, p), rootsys.as_int(k))[0]
+    return degree_one_decision(datum, p, k)[0]
 
 
 def build_P_of_k(datum: CartanDatum, p, k: int) -> frozenset[int]:

@@ -141,6 +141,47 @@ def test_kgw3_matches_the_triple_product(engine, label, p):
             assert kgw3(e, u, v, f, k, p) == _triple_product(e, u, v, f, k, p), (u, v, f.coeffs, k)
 
 
+def _asymmetric_kgw3_triples(e, p, k):
+    """(u, v, w) of W^P, as words, where kgw3(u, v, O^w) changes under a permutation
+    of the three insertions; the invariant is symmetric in them."""
+    reps = weyl.enumerate_wp(e.W, p)
+    value = {t: kgw3(e, t[0], t[1], exp_one(e, t[2].word_str, p), k, p) for t in itertools.product(reps, repeat=3)}
+    return [
+        tuple(x.word_str for x in t)
+        for t, got in value.items()
+        if any(value[s] != got for s in itertools.permutations(t))
+    ]
+
+
+@pytest.mark.parametrize(
+    "label, p, k",
+    [("A2", (2,), 1), ("A3", (1, 3), 2), ("A3", (2,), 1), ("A3", (3,), 1)],
+    ids=["A2-P2-k1", "A3-P13-k2", "A3-P2-k1", "A3-P3-k1"],
+)
+def test_kgw3_is_symmetric_in_its_three_insertions(engine, label, p, k):
+    # u and v enter through a Hecke move, w through the pairing: symmetry ties the two together,
+    # also where P_k is empty and the Peterson comparison computes nothing
+    assert _asymmetric_kgw3_triples(engine(label), frozenset(p), k) == []
+
+
+def test_kgw3_symmetry_sees_a_changed_full_flag_constant(monkeypatch):
+    # a fault in c_{s1,s3} on G/B, A3/{1,3} at k = 2 (P_k empty): the Peterson sweep
+    # compares two equal sums there, so only the symmetry test sees it
+    e = KTEngine(named_datum("A3"))  # its structure constants are perturbed: not the shared engine
+    p = frozenset({1, 3})
+    s1, s3 = e.W.simple(1), e.W.simple(3)
+    real = e.structure_constants
+    bad = SchubertExpansion(e.datum, {**real(s1, s3).coeffs, e.W.identity: e.ring_one()})
+
+    def perturbed(u, v, parabolic=()):  # O^{s1} . O^{s3} on G/B gains an O^e term, in either order
+        hit = {u, v} == {s1, s3} and not weyl.normalize_parabolic(e.datum, parabolic)
+        return bad if hit else real(u, v, parabolic)
+
+    monkeypatch.setattr(e, "structure_constants", perturbed)
+    assert len(_asymmetric_kgw3_triples(e, p, 2)) > 0
+    assert [r.status for r in peterson_sweep(e, p, 2)] == ["pass"]
+
+
 def test_kgw3_refuses_a_class_on_another_quotient(engine):
     # P = {2} at k = 1 pulls back to P_k = {}, which used to accept a class on G/B and return 1
     e = engine("A2")

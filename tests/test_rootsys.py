@@ -5,6 +5,7 @@ import pytest
 from qkline import rootsys
 from qkline.repring import RingElt, simple_reflection, weyl_act
 from qkline.rootsys import (
+    CartanDatum,
     CartanError,
     _inverse_cartan,
     adjacent,
@@ -231,6 +232,7 @@ def test_root_pairing_refuses_a_beta_that_is_not_a_root():
         ("2\n2 -١\n-1 2\n", "bad integer in Cartan file: '-١'"),
         ("2\n2 +1\n-1 2\n", "bad integer in Cartan file: '+1'"),
         ("2 9\n2 -1\n-1 2\n", "the rank line of a Cartan file holds one number, got '2 9'"),
+        ("-1\n", "the rank line of a Cartan file holds a rank of at least 1, got -1"),
     ],
 )
 def test_cartan_file_reads_one_signed_ascii_rule(text, message):
@@ -243,11 +245,24 @@ def test_cartan_file_reads_one_signed_ascii_rule(text, message):
     [
         ([[2, -1.5], [-1, 2]], None, "-1.5"),
         ([[2, -1], [-1, 2]], (1.9, 1), "1.9"),
+        (((2, -1.5), (-1, 2)), (2, 3), "-1.5"),
+        (((2.0, -1), (-1, 2)), (1, 1), "2.0"),
     ],
 )
 def test_cartan_datum_takes_integers_only(matrix, symmetrizer, named):
+    # the datum converts its own entries: built directly, ((2, -1.5), (-1, 2)) with (2, 3) passed
+    # every check and its positive roots never closed, so no engine is built here
     with pytest.raises(TypeError, match=re.escape(f"{named} is not an integer")):
         cartan_datum(matrix, symmetrizer)
+    with pytest.raises(TypeError, match=re.escape(f"{named} is not an integer")):
+        CartanDatum(len(matrix), matrix, symmetrizer)
+
+
+def test_a_datum_built_from_lists_converts_and_solves_its_own_symmetrizer():
+    c2 = [[2, -2], [-1, 2]]
+    datum = CartanDatum(2, c2)
+    assert datum == cartan_datum(c2) == CartanDatum(2, named_datum("C2").cartan, (1, 2))
+    assert (datum.cartan, datum.symmetrizer) == (((2, -2), (-1, 2)), (1, 2))
 
 
 def test_parse_cartan_file():

@@ -1,6 +1,6 @@
 """The library has zero runtime dependencies: every absolute import in
 ``src/qkline`` names a standard-library module.  Relative imports are
-qkline's own modules."""
+qkline's own modules.  Every module-level import is used."""
 
 import ast
 import pathlib
@@ -27,3 +27,24 @@ def test_every_absolute_import_is_from_the_standard_library():
         if name.partition(".")[0] not in sys.stdlib_module_names
     ]
     assert not foreign
+
+
+def _unused_module_imports(path):
+    """Names a module's top-level imports bind that it neither uses nor lists in ``__all__``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bound = [
+        (alias.asname or alias.name).partition(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [name for name in bound if name not in used]
+
+
+def test_every_module_level_import_is_used():
+    unused = [(path.name, name) for path in sorted(SRC.glob("*.py")) for name in _unused_module_imports(path)]
+    assert not unused

@@ -410,6 +410,17 @@ def test_in_class_P():
         in_class_P(b2, {2}, 2)
 
 
+def test_the_degree_one_decision_checks_its_own_key():
+    # 3.0 and 1.0 hash like 3 and 1: once the integer entry was memoised, they used to read it
+    a3 = named_datum("A3")
+    assert weyl.degree_one_decision(a3, frozenset({1}), 3) == (frozenset({1}), True)
+    for p, k, named in ((frozenset({1}), 3.0, "3.0"), (frozenset({1.0}), 3, "1.0")):
+        with pytest.raises(TypeError, match=re.escape(f"{named} is not an integer")):
+            weyl.degree_one_decision(a3, p, k)
+    assert weyl.degree_one_decision(a3, (1,), 3) == (frozenset({1}), True)
+    assert weyl.degree_one_decision(a3, [2, 3], 1)[0] == {3}
+
+
 def test_build_parabolics():
     a2 = named_datum("A2")
     assert build_Pk(a2, {2}, 1) == frozenset()
