@@ -19,7 +19,7 @@ import json
 import re
 import sys
 
-from . import golden, qklines, repring, rootsys, weyl
+from . import qklines, repring, rootsys, weyl
 from .ktheory import KTEngine
 from .qklines import GateError
 from .repring import RingElt
@@ -173,13 +173,15 @@ def cmd_check(args) -> int:
     suite = args.suite
     reports = []
     if suite in ("golden", "all"):
-        labels = [args.group] if args.group and suite == "golden" else golden.fixture_names()
-        reports += [golden.golden_report(g) for g in labels]
+        from . import golden  # only these two suites load it: they run its tables, and "all" sweeps its groups
+
+        fixtures = golden.fixture_names()
+        reports += [golden.golden_report(g) for g in ([args.group] if args.group and suite == "golden" else fixtures)]
+    elif not args.group:
+        raise GateError(f"suite {suite!r} needs --group")
     if suite != "golden":
-        if not args.group and suite != "all":
-            raise GateError(f"suite {suite!r} needs --group")
         parabolic = _parse_parabolic(args.parabolic)
-        for g in [args.group] if args.group else golden.fixture_names():
+        for g in [args.group] if args.group else fixtures:
             reports += qklines.run_suite(_engine(g), parabolic, suite)
     for rep in reports:
         print(rep.to_json())

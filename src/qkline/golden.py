@@ -14,13 +14,13 @@ so nothing is silently patched.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from importlib import resources
 
 from . import repring, rootsys, weyl
 from .ktheory import KTEngine
 from .qklines import CheckReport, qk_product_degree1
 from .repring import RingElt
+from .rootsys import record
 
 _FIXTURES = {"A2": "sl3_table.json", "C2": "sp4_table.json"}
 
@@ -37,21 +37,22 @@ def load_fixture(group: str) -> dict:
     return json.loads(text)
 
 
-@dataclass
-class GoldenRow:
-    u: str
-    v: str
-    classical: dict[str, RingElt]
-    quantum: dict[int, dict[str, RingElt]]
-    corrections: tuple = ()  # (k, w, printed, consistent) entries applied
+class GoldenRow(record("GoldenRow", "u v classical quantum corrections", ((),))):
+    """One fixture row: the words u and v, {w: coefficient} classically and per
+    quantum node k, and the (k, w) misprint corrections applied to it."""
+
+    __slots__ = ()
 
 
-@dataclass
-class GoldenResult:
-    group: str
-    rows_checked: int = 0
-    mismatches: list = field(default_factory=list)
-    corrections_used: list = field(default_factory=list)
+class GoldenResult(record("GoldenResult", "group rows_checked mismatches corrections_used")):
+    """A fixture's comparison: rows checked, mismatches and the corrections used
+    (fresh lists by default)."""
+
+    __slots__ = ()
+
+    def __new__(cls, group, rows_checked=0, mismatches=None, corrections_used=None):
+        fresh = [[] if x is None else x for x in (mismatches, corrections_used)]
+        return super().__new__(cls, group, rows_checked, *fresh)
 
     @property
     def passed(self) -> bool:
@@ -146,7 +147,7 @@ def _complete_by_symmetry(rows: list[GoldenRow], perm: dict[int, int], group) ->
 
 def _prepare(group: str, engine: KTEngine | None):
     """Load, parse and symmetry-complete a fixture: (engine, rows, parabolic,
-    an empty result under the fixture's own group label)."""
+    the fixture's own group label)."""
     fixture = load_fixture(group)
     datum = rootsys.named_datum(fixture["group"])
     engine = engine or KTEngine(datum)
@@ -155,27 +156,27 @@ def _prepare(group: str, engine: KTEngine | None):
     if symmetry:
         perm = {i + 1: s for i, s in enumerate(symmetry)}
         rows = _complete_by_symmetry(rows, perm, engine.W)
-    return engine, rows, weyl.normalize_parabolic(datum, fixture["parabolic"]), GoldenResult(str(datum))
+    return engine, rows, weyl.normalize_parabolic(datum, fixture["parabolic"]), str(datum)
 
 
 def check_golden_fixture(group: str, engine: KTEngine | None = None) -> GoldenResult:
-    engine, rows, p, result = _prepare(group, engine)
+    engine, rows, p, label = _prepare(group, engine)
+    mismatches, corrections = [], []
     for row in rows:
         u = engine.W.parse_word(row.u)
         v = engine.W.parse_word(row.v)
         product = qk_product_degree1(engine, u, v, p)
         got_classical = {w.word_str: c for w, c in product.classical.coeffs.items()}
-        _compare_part(result, row, "classical", row.classical, got_classical)
+        _compare_part(mismatches, row, "classical", row.classical, got_classical)
         for k, exp in product.quantum.items():
             expected = row.quantum.get(k, {})
             got = {w.word_str: c for w, c in exp.coeffs.items()}
-            _compare_part(result, row, f"q{k}", expected, got)
+            _compare_part(mismatches, row, f"q{k}", expected, got)
         for k in row.quantum:
             if k not in product.quantum:
-                result.mismatches.append((row.u, row.v, f"q{k}", "*", "expected terms", "node skipped"))
-        result.corrections_used.extend((row.u, row.v) + c for c in row.corrections)
-        result.rows_checked += 1
-    return result
+                mismatches.append((row.u, row.v, f"q{k}", "*", "expected terms", "node skipped"))
+        corrections.extend((row.u, row.v) + c for c in row.corrections)
+    return GoldenResult(label, len(rows), mismatches, corrections)
 
 
 def golden_report(group: str) -> CheckReport:
@@ -189,23 +190,23 @@ def golden_report(group: str) -> CheckReport:
     return CheckReport("golden", res.group, (), None, status, tuple(res.mismatches[:8]), details)
 
 
-def _compare_part(result, row, part, expected, got):
+def _compare_part(mismatches, row, part, expected, got):
     for w in sorted(set(expected) | set(got)):
         e = expected.get(w)
         g = got.get(w)
         if e != g:
-            result.mismatches.append((row.u, row.v, part, w, repr(e), repr(g)))
+            mismatches.append((row.u, row.v, part, w, repr(e), repr(g)))
 
 
 def check_classical_fixture(group: str, engine: KTEngine | None = None) -> GoldenResult:
     """The q^0 part of the table against the classical engine alone (no
     quantum-layer code in the loop)."""
-    engine, rows, p, result = _prepare(group, engine)
+    engine, rows, p, label = _prepare(group, engine)
+    mismatches = []
     for row in rows:
         u = engine.W.parse_word(row.u)
         v = engine.W.parse_word(row.v)
         exp = engine.structure_constants(u, v, p)
         got = {w.word_str: c for w, c in exp.coeffs.items()}
-        _compare_part(result, row, "classical", row.classical, got)
-        result.rows_checked += 1
-    return result
+        _compare_part(mismatches, row, "classical", row.classical, got)
+    return GoldenResult(label, len(rows), mismatches)

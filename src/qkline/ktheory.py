@@ -53,7 +53,6 @@ mutates only residuals it created: the engine may be shared across threads.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from . import repring, rootsys, weyl
@@ -66,25 +65,23 @@ class ExpansionError(ValueError):
     """Input class is not in the span of the Schubert basis of its quotient."""
 
 
-def _seal(value, points: str) -> None:
-    """Check a value once, when built: its mapping ``points`` made read-only, its quotient normalised, each point in its W^P."""
-    object.__setattr__(value, points, MappingProxyType(dict(getattr(value, points))))
-    object.__setattr__(value, "parabolic", weyl.normalize_parabolic(value.datum, value.parabolic))
-    WeylGroup.for_datum(value.datum).require(*getattr(value, points), parabolic=value.parabolic)
+def _seal(cls, datum: CartanDatum, points, parabolic):
+    """A value checked once, when built: its mapping of points copied read-only, its quotient normalised, each point in its W^P."""
+    points = MappingProxyType(dict(points))
+    p = weyl.normalize_parabolic(datum, parabolic)
+    WeylGroup.for_datum(datum).require(*points, parabolic=p)
+    return tuple.__new__(cls, (datum, points, p))
 
 
-@dataclass(frozen=True)
-class KClass:
+class KClass(rootsys.record("KClass", "datum restrictions parabolic")):
     """A coefficient-ring-valued function on the fixed points (sparse) of G/P, the points
     of W^P; checked once when built by ``_seal``, read-only.  It cannot be pickled or
     deep-copied: a Weyl element is its interned object."""
 
-    datum: CartanDatum
-    restrictions: Mapping[WeylElement, RingElt]
-    parabolic: frozenset[int] = field(default_factory=frozenset)
+    __slots__ = ()
 
-    def __post_init__(self):
-        _seal(self, "restrictions")
+    def __new__(cls, datum: CartanDatum, restrictions: Mapping[WeylElement, RingElt], parabolic=frozenset()):
+        return _seal(cls, datum, restrictions, parabolic)
 
     def value(self, w: WeylElement) -> RingElt:
         """The value at any point of W: a class on G/P is read at the
@@ -95,18 +92,15 @@ class KClass:
         return RingElt.zero(self.datum.rank) if got is None else got
 
 
-@dataclass(frozen=True)
-class SchubertExpansion:
+class SchubertExpansion(rootsys.record("SchubertExpansion", "datum coeffs parabolic")):
     """A finite Schubert-basis expansion over W^P of one datum, without zero coefficients;
     checked once when built by ``_seal``, an empty one too, read-only.  It cannot be
     pickled or deep-copied: a Weyl element is its interned object."""
 
-    datum: CartanDatum
-    coeffs: Mapping[WeylElement, RingElt]
-    parabolic: frozenset[int] = field(default_factory=frozenset)
+    __slots__ = ()
 
-    def __post_init__(self):
-        _seal(self, "coeffs")
+    def __new__(cls, datum: CartanDatum, coeffs: Mapping[WeylElement, RingElt], parabolic=frozenset()):
+        return _seal(cls, datum, coeffs, parabolic)
 
     def coeff(self, w: WeylElement) -> RingElt:
         """The coefficient of O^w, zero off the support; GroupMismatchError for a w of

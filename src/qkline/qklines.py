@@ -42,11 +42,11 @@ from __future__ import annotations
 import itertools
 import json
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field, replace
 
 from . import repring, weyl
 from .ktheory import KTEngine, SchubertExpansion
 from .repring import RingElt
+from .rootsys import record
 from .weyl import WeylElement, bruhat_leq, hecke_down, hecke_up, min_coset_rep
 
 
@@ -102,13 +102,11 @@ def _fibre_sums(engine: KTEngine, u, v, k, p, pk) -> dict[WeylElement, RingElt]:
 # -- line neighborhoods and Richardson descriptors ------------------------------
 
 
-@dataclass(frozen=True)
-class RichardsonDescriptor:
+class RichardsonDescriptor(record("RichardsonDescriptor", "top bottom")):
     """Intersection of a lower and an opposite Schubert variety, described
     combinatorially: nonempty iff bottom <= top, of dimension l(top)-l(bottom)."""
 
-    top: WeylElement
-    bottom: WeylElement
+    __slots__ = ()
 
     @property
     def nonempty(self) -> bool:
@@ -138,15 +136,12 @@ def projected_gw(engine: KTEngine, u: WeylElement, v: WeylElement, k: int, p=())
     return RichardsonDescriptor(hecke_up(u, k), hecke_down(v, k))
 
 
-@dataclass(frozen=True)
-class BoundaryBounds:
+class BoundaryBounds(record("BoundaryBounds", "inner outer boundary_dimension")):
     """Inner and outer Richardson bounds for the boundary line locus, plus
     its dimension (outer dimension in the degenerate case, one above the
     inner dimension otherwise)."""
 
-    inner: RichardsonDescriptor
-    outer: RichardsonDescriptor
-    boundary_dimension: int
+    __slots__ = ()
 
 
 def boundary_projected_gw(engine: KTEngine, u: WeylElement, v: WeylElement, k: int, p=()) -> BoundaryBounds:
@@ -215,16 +210,12 @@ def qk_constant_general(engine: KTEngine, u, v, w, k, p=()) -> RingElt:
     return _fibre_sums(engine, u, v, k, p, pk).get(w, engine.ring_zero())
 
 
-@dataclass(frozen=True)
-class QKProduct:
+class QKProduct(record("QKProduct", "u v classical quantum skipped", ((),))):
     """A product truncated after the linear terms in each quantum parameter
-    (mixed and higher powers are dropped by the truncation contract)."""
+    (mixed and higher powers are dropped by the truncation contract): u, v, the
+    classical expansion, {k: q_k-linear expansion} and the skipped nodes."""
 
-    u: WeylElement
-    v: WeylElement
-    classical: SchubertExpansion
-    quantum: dict[int, SchubertExpansion]
-    skipped: tuple[int, ...] = ()
+    __slots__ = ()
 
 
 def qk_product_degree1(engine: KTEngine, u, v, p=()) -> QKProduct:
@@ -252,33 +243,32 @@ def cor_xi_sum(engine: KTEngine, u, v, w, k, p, q) -> RingElt:
 # -- check reports ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    check: str
-    group: str
-    parabolic: tuple[int, ...]
-    k: int | None
-    status: str  # "pass" | "fail" | "diagnostic"
-    witnesses: tuple = ()
-    details: dict = field(default_factory=dict)
+class CheckReport(record("CheckReport", "check group parabolic k status witnesses details")):
+    """One check's outcome; status is "pass", "fail" or "diagnostic", and details
+    default to a fresh dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, check, group, parabolic, k, status, witnesses=(), details=None):
+        return super().__new__(cls, check, group, parabolic, k, status, witnesses, {} if details is None else details)
 
     @property
     def passed(self) -> bool:
         return self.status != "fail"
 
     def to_json(self) -> str:
-        out = asdict(self)
+        out = self._asdict()
         out["witnesses"] = [list(map(str, w)) for w in self.witnesses]
         if not self.details:
             del out["details"]
         return json.dumps(out, sort_keys=True)
 
 
-def _report(check, engine: KTEngine, p, k, witnesses, details) -> CheckReport:
-    """Every sweep's report: the witnesses sorted and the first eight kept; it
-    fails exactly when a witness exists."""
+def _report(check, engine: KTEngine, p, k, witnesses, details, status=None) -> CheckReport:
+    """Every sweep's report: the witnesses sorted and the first eight kept; unless
+    ``status`` is given, it fails exactly when a witness exists."""
     witnesses = sorted(witnesses)
-    status = "fail" if witnesses else "pass"
+    status = status or ("fail" if witnesses else "pass")
     return CheckReport(check, str(engine.datum), tuple(sorted(p)), k, status, tuple(witnesses[:8]), details)
 
 
@@ -338,8 +328,7 @@ def equivariant_positivity_diagnostic(engine: KTEngine, p, k) -> CheckReport:
         else:
             conforming += 1
     details = {"conforming": conforming, "nonconforming": len(nonconforming)}
-    report = _report("equivariant-positivity", engine, p, k, nonconforming, details)
-    return replace(report, status="diagnostic")  # reported, never failed
+    return _report("equivariant-positivity", engine, p, k, nonconforming, details, "diagnostic")  # reported, never failed
 
 
 def _peterson_failures(engine: KTEngine, u, v, k, pk, ws, chi: dict) -> dict:

@@ -22,8 +22,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 
 
@@ -46,8 +45,19 @@ def as_int(x) -> int:
         raise TypeError(f"{x!r} is not an integer") from None
 
 
-@dataclass(frozen=True)
-class CartanDatum:
+def record(name: str, fields: str, defaults=()):
+    """Base of a read-only value class (one that sets ``__slots__ = ()``): a namedtuple (repr field by field,
+    AttributeError on assignment), == and hash by the fields, equal only to values of its own class, and
+    ``_make`` and ``_replace`` build through the class's constructor, so no value skips its checks."""
+    base = namedtuple(name, fields, defaults=defaults)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    base.__eq__ = lambda self, other: tuple.__eq__(self, other) if type(other) is type(self) else NotImplemented
+    base.__ne__ = lambda self, other: tuple.__ne__(self, other) if type(other) is type(self) else NotImplemented
+    base.__hash__ = tuple.__hash__
+    return base
+
+
+class CartanDatum(record("CartanDatum", "rank cartan symmetrizer label")):
     """A finite-type Cartan matrix plus length data.
 
     ``cartan[i][j] = <alpha_j, alpha_i^vee>`` (0-based storage; the public
@@ -55,19 +65,15 @@ class CartanDatum:
     (a TypeError names the first other entry); a symmetrizer of None is solved.
     """
 
-    rank: int
-    cartan: tuple[tuple[int, ...], ...]
-    symmetrizer: tuple[int, ...] | None = None
-    label: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = as_int(self.rank)
-        a = tuple(tuple(map(as_int, row)) for row in self.cartan)
-        d = None if self.symmetrizer is None else tuple(map(as_int, self.symmetrizer))
+    def __new__(cls, rank, cartan, symmetrizer=None, label=None):
+        n = as_int(rank)
+        a = tuple(tuple(map(as_int, row)) for row in cartan)
+        d = None if symmetrizer is None else tuple(map(as_int, symmetrizer))
         _check_matrix(a, n)
         d = _symmetrizer_from_matrix(a) if d is None else d
-        for name, value in (("rank", n), ("cartan", a), ("symmetrizer", d)):
-            object.__setattr__(self, name, value)
+        self = super().__new__(cls, n, a, d, label)
         if len(d) != n or any(x <= 0 for x in d):
             raise CartanError("symmetrizer must consist of positive integers")
         for i in range(n):
@@ -75,6 +81,7 @@ class CartanDatum:
                 if d[i] * a[i][j] != d[j] * a[j][i]:
                     raise CartanError("symmetrizer does not symmetrize the Cartan matrix")
         _inverse_cartan(self)
+        return self
 
     def __str__(self):
         return self.label or f"CartanDatum(rank={self.rank})"
@@ -97,20 +104,20 @@ def _check_matrix(a, n) -> None:
 
 def _symmetrizer_from_matrix(a) -> tuple[int, ...]:
     """Solve d[i]*a[i][j] == d[j]*a[j][i] along a spanning tree of each Dynkin
-    component of a checked matrix; CartanDatum refuses a d that fails off the tree."""
+    component of a checked matrix as d[i] = num[i] / den[i]; CartanDatum refuses a d that fails off the tree."""
     n = len(a)
-    d: list[Fraction | None] = [None] * n
+    num, den = [0] * n, [1] * n
     for start in range(n):
-        if d[start] is None:
-            d[start], stack = Fraction(1), [start]
+        if not num[start]:
+            num[start], stack = 1, [start]
             while stack:
                 i = stack.pop()
                 for j in range(n):
-                    if i != j and a[i][j] and d[j] is None:
-                        d[j] = d[i] * Fraction(a[i][j], a[j][i])
+                    if i != j and a[i][j] and not num[j]:
+                        num[j], den[j] = -num[i] * a[i][j], -den[i] * a[j][i]
                         stack.append(j)
-    denom_lcm = math.lcm(*(x.denominator for x in d))
-    ints = [int(x * denom_lcm) for x in d]
+    denom_lcm = math.lcm(*den)
+    ints = [x * denom_lcm // y for x, y in zip(num, den)]
     g = math.gcd(*ints)
     return tuple(x // g for x in ints)
 
@@ -281,27 +288,25 @@ def alpha_to_omega(datum: CartanDatum, coords) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _inverse_cartan(datum: CartanDatum) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(den, adj): the common denominator of A^{-1} and the integer matrix
+    """(den, adj): the least common denominator of A^{-1} and the integer matrix
     den * A^{-1}, so that weight conversions stay in integers.
 
-    Gauss-Jordan runs on the symmetrized B = DA without row swaps, so its
-    pivots are ratios of B's leading principal minors: all are positive iff B
-    is positive definite, which is the finite-type test.  Then A^{-1} = B^{-1} D."""
+    Bareiss's integer Gauss-Jordan on [B | I], B = DA, without row swaps ends at [det B * I | adj B]; its
+    pivots are B's leading principal minors, all positive iff B is positive definite, which is the
+    finite-type test.  Then A^{-1} = (adj B) D / det B, and every division is exact."""
     n = datum.rank
     d = datum.symmetrizer
-    m = [[Fraction(d[i] * datum.cartan[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    m = [[d[i] * datum.cartan[i][j] for j in range(n)] + [int(i == j) for j in range(n)] for i in range(n)]
+    prev = 1
     for k in range(n):
-        if m[k][k] <= 0:
+        pivot = m[k][k]
+        if pivot <= 0:
             raise CartanError("Cartan matrix is not of finite type")
-        inv = 1 / m[k][k]
-        m[k] = [x * inv for x in m[k]]
-        for i in range(n):
-            if i != k and m[i][k]:
-                f = m[i][k]
-                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-    inverse = [[x * d[j] for j, x in enumerate(row[n:])] for row in m]
-    den = math.lcm(*(x.denominator for row in inverse for x in row))
-    return den, tuple(tuple(int(x * den) for x in row) for row in inverse)
+        m = [row if i == k else [(pivot * x - row[k] * y) // prev for x, y in zip(row, m[k])] for i, row in enumerate(m)]
+        prev = pivot
+    adj = [[x * d[j] for j, x in enumerate(row[n:])] for row in m]
+    g = math.gcd(prev, *(x for row in adj for x in row))
+    return prev // g, tuple(tuple(x // g for x in row) for row in adj)
 
 
 def omega_to_alpha(datum: CartanDatum, coords) -> tuple[int, ...] | None:

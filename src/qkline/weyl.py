@@ -288,8 +288,8 @@ def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
 
 
 def min_coset_rep(w: WeylElement, p) -> WeylElement:
-    """The minimal-length representative of w W_P."""
-    return _right_walk(w, normalize_parabolic(w.group.datum, p), True)
+    """The minimal-length representative of w W_P: w itself, unchecked, when P is empty."""
+    return _right_walk(w, normalize_parabolic(w.group.datum, p), True) if p else w
 
 
 def _right_walk(w: WeylElement, p: frozenset[int], descent: bool) -> WeylElement:

@@ -1,11 +1,11 @@
 import copy
-import dataclasses
 import json
 
 import pytest
 
 from qkline import cli, golden, repring
 from qkline.golden import check_classical_fixture, check_golden_fixture, load_fixture
+from qkline.qklines import QKProduct
 
 
 def test_golden_sl3_passes(engine):
@@ -76,7 +76,8 @@ def test_comparator_reports_a_fixture_node_the_engine_skipped(engine, monkeypatc
     real = golden.qk_product_degree1
 
     def skipping_every_node(*args):
-        return dataclasses.replace(real(*args), quantum={}, skipped=(1, 2))
+        prod = real(*args)
+        return QKProduct(prod.u, prod.v, prod.classical, {}, (1, 2))
 
     monkeypatch.setattr(golden, "qk_product_degree1", skipping_every_node)
     res = check_golden_fixture("C2", engine("C2"))

@@ -762,6 +762,9 @@ def test_a_value_quotient_is_a_frozenset_of_nodes_in_range(engine):
         SchubertExpansion(e.datum, {e.W.identity: e.ring_one()}, [5])
     for value in (KClass(e.datum, {}, [2]), SchubertExpansion(e.datum, {e.W.identity: e.ring_one()}, [2])):
         assert type(value.parabolic) is frozenset and value.parabolic == {2}
+        assert value._replace(parabolic=[1]).parabolic == {1}  # a copy with one field changed is checked too
+        with pytest.raises(IndexError, match="parabolic node 5 out of range 1..2"):
+            value._replace(parabolic=(5,))
 
 
 def test_classes_and_expansions_are_read_only(engine):

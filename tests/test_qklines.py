@@ -649,6 +649,36 @@ def test_report_json_of_a_failing_report_with_witnesses_and_details():
     )
 
 
+def test_reports_compare_by_value_and_default_to_fresh_details():
+    rep = CheckReport("peterson", "A3", (1,), 2, "pass")
+    same = CheckReport("peterson", "A3", (1,), 2, "pass", (), {})
+    assert rep == same and not rep != same and rep.details is not same.details
+    assert rep != CheckReport("peterson", "A3", (1,), 2, "pass", (), {"triples_checked": 27})
+    assert rep != CheckReport("peterson", "A3", (1,), 2, "fail")
+    rep.details["x"] = 1
+    assert CheckReport("peterson", "A3", (1,), 2, "pass").details == {}
+
+
+def test_values_refuse_assignment(engine):
+    e = engine("A2")
+    s1 = e.W.simple(1)
+    values = [
+        (e.datum, "rank"),
+        (e.schubert_class(s1), "restrictions"),
+        (e.structure_constants(s1, s1), "parabolic"),
+        (CheckReport("peterson", "A2", (), 1, "pass"), "status"),
+        (qk_product_degree1(e, s1, s1), "quantum"),
+    ]
+    for value, field in values:
+        before = getattr(value, field)
+        for name in (field, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert getattr(value, field) is before
+
+
 def test_report_json_leaves_out_empty_details():
     from qkline.qklines import CheckReport
 

@@ -1,4 +1,7 @@
+import itertools
+import math
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +11,7 @@ from qkline.rootsys import (
     CartanDatum,
     CartanError,
     _inverse_cartan,
+    _symmetrizer_from_matrix,
     adjacent,
     alpha_to_omega,
     cartan_datum,
@@ -302,3 +306,58 @@ def test_omega_to_alpha_in_integers():
     # omega_1 of A2 is (2 alpha_1 + alpha_2) / 3: not in the root lattice
     assert omega_to_alpha(named_datum("A2"), (1, 0)) is None
     assert omega_to_alpha(named_datum("A2"), (3, 0)) == (2, 1)
+
+
+def test_a_datum_equals_and_hashes_by_its_fields_label_included():
+    a2 = named_datum("A2")
+    unlabelled = cartan_datum(a2.cartan, label=None)
+    assert unlabelled == CartanDatum(2, [[2, -1], [-1, 2]]) and hash(unlabelled) == hash(CartanDatum(2, a2.cartan))
+    assert unlabelled != a2 and not unlabelled == a2
+    assert cartan_datum([[2, -1], [-1, 2]], label="A2") == a2
+    assert hash(cartan_datum([[2, -1], [-1, 2]], label="A2")) == hash(a2)
+    assert {unlabelled: 1, a2: 2}[CartanDatum(2, a2.cartan, (1, 1), None)] == 1
+    assert str(a2) == "A2" and str(unlabelled) == "CartanDatum(rank=2)"
+    assert repr(a2) == "CartanDatum(rank=2, cartan=((2, -1), (-1, 2)), symmetrizer=(1, 1), label='A2')"
+
+
+NAMED_TYPES = [
+    f"{family}{n}"
+    for family, ranks in (("A", range(1, 9)), ("B", range(2, 9)), ("C", range(2, 9)), ("D", range(4, 9)),
+                          ("E", (6, 7, 8)), ("F", (4,)), ("G", (2,)))
+    for n in ranks
+]
+
+
+def _fraction_inverse(a):
+    """A^{-1} by Gauss-Jordan over the rationals, with row swaps."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    for k in range(n):
+        r = next(i for i in range(k, n) if m[i][k])
+        m[k], m[r] = m[r], m[k]
+        m[k] = [x / m[k][k] for x in m[k]]
+        for i in range(n):
+            if i != k:
+                m[i] = [x - m[i][k] * y for x, y in zip(m[i], m[k])]
+    return [row[n:] for row in m]
+
+
+def _fraction_symmetrizer(a):
+    """d with d[i] a[i][j] == d[j] a[j][i] over the rationals, node by node, then the least positive integers."""
+    n = len(a)
+    d = [Fraction(1)] + [None] * (n - 1)
+    while None in d:
+        pairs = itertools.product(range(n), repeat=2)
+        i, j = next((i, j) for i, j in pairs if d[i] is not None and d[j] is None and a[i][j])
+        d[j] = d[i] * a[i][j] / a[j][i]
+    ints = [int(x * math.lcm(*(y.denominator for y in d))) for x in d]
+    return tuple(x // math.gcd(*ints) for x in ints)
+
+
+@pytest.mark.parametrize("label", NAMED_TYPES)
+def test_integer_inverse_and_symmetrizer_match_a_rational_reference(label):
+    datum = named_datum(label)
+    inverse = _fraction_inverse(datum.cartan)
+    den = math.lcm(*(x.denominator for row in inverse for x in row))
+    assert _inverse_cartan(datum) == (den, tuple(tuple(int(x * den) for x in row) for row in inverse))
+    assert _symmetrizer_from_matrix(datum.cartan) == datum.symmetrizer == _fraction_symmetrizer(datum.cartan)

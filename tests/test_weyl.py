@@ -277,6 +277,17 @@ def test_min_coset_rep():
         assert min_coset_rep(rep, p) is rep
 
 
+def test_min_coset_rep_returns_w_for_an_empty_parabolic_and_checks_any_other():
+    W = group("A3")
+    for p in ((), frozenset(), []):
+        assert all(min_coset_rep(w, p) is w for w in W.elements())
+    w = W.simple(1) * W.simple(2)
+    with pytest.raises(IndexError, match=re.escape("parabolic node 9 out of range 1..3")):
+        min_coset_rep(w, (9,))
+    with pytest.raises(TypeError, match=re.escape("1.0 is not an integer")):
+        min_coset_rep(w, (1.0,))
+
+
 def test_enumerate_wp():
     W = group("A2")
     reps = enumerate_wp(W, {2})
