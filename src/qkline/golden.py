@@ -37,7 +37,7 @@ def load_fixture(group: str) -> dict:
     return json.loads(text)
 
 
-class GoldenRow(record("GoldenRow", "u v classical quantum corrections", ((),))):
+class GoldenRow(record("GoldenRow", "u v classical quantum corrections")):
     """One fixture row: the words u and v, {w: coefficient} classically and per
     quantum node k, and the (k, w) misprint corrections applied to it."""
 
@@ -45,14 +45,9 @@ class GoldenRow(record("GoldenRow", "u v classical quantum corrections", ((),)))
 
 
 class GoldenResult(record("GoldenResult", "group rows_checked mismatches corrections_used")):
-    """A fixture's comparison: rows checked, mismatches and the corrections used
-    (fresh lists by default)."""
+    """A fixture's comparison: rows checked, mismatches and the corrections used."""
 
     __slots__ = ()
-
-    def __new__(cls, group, rows_checked=0, mismatches=None, corrections_used=None):
-        fresh = [[] if x is None else x for x in (mismatches, corrections_used)]
-        return super().__new__(cls, group, rows_checked, *fresh)
 
     @property
     def passed(self) -> bool:
@@ -145,12 +140,12 @@ def _complete_by_symmetry(rows: list[GoldenRow], perm: dict[int, int], group) ->
     return out
 
 
-def _prepare(group: str, engine: KTEngine | None):
-    """Load, parse and symmetry-complete a fixture: (engine, rows, parabolic,
-    the fixture's own group label)."""
+def _prepare(group: str):
+    """Load, parse and symmetry-complete a fixture: (an engine on the fixture's
+    own datum, rows, parabolic, the fixture's own group label)."""
     fixture = load_fixture(group)
     datum = rootsys.named_datum(fixture["group"])
-    engine = engine or KTEngine(datum)
+    engine = KTEngine(datum)
     rows = _parse_rows(datum, fixture)
     symmetry = fixture.get("mirror_symmetry")
     if symmetry:
@@ -159,8 +154,8 @@ def _prepare(group: str, engine: KTEngine | None):
     return engine, rows, weyl.normalize_parabolic(datum, fixture["parabolic"]), str(datum)
 
 
-def check_golden_fixture(group: str, engine: KTEngine | None = None) -> GoldenResult:
-    engine, rows, p, label = _prepare(group, engine)
+def check_golden_fixture(group: str) -> GoldenResult:
+    engine, rows, p, label = _prepare(group)
     mismatches, corrections = [], []
     for row in rows:
         u = engine.W.parse_word(row.u)
@@ -198,10 +193,10 @@ def _compare_part(mismatches, row, part, expected, got):
             mismatches.append((row.u, row.v, part, w, repr(e), repr(g)))
 
 
-def check_classical_fixture(group: str, engine: KTEngine | None = None) -> GoldenResult:
+def check_classical_fixture(group: str) -> GoldenResult:
     """The q^0 part of the table against the classical engine alone (no
     quantum-layer code in the loop)."""
-    engine, rows, p, label = _prepare(group, engine)
+    engine, rows, p, label = _prepare(group)
     mismatches = []
     for row in rows:
         u = engine.W.parse_word(row.u)
@@ -209,4 +204,4 @@ def check_classical_fixture(group: str, engine: KTEngine | None = None) -> Golde
         exp = engine.structure_constants(u, v, p)
         got = {w.word_str: c for w, c in exp.coeffs.items()}
         _compare_part(mismatches, row, "classical", row.classical, got)
-    return GoldenResult(label, len(rows), mismatches)
+    return GoldenResult(label, len(rows), mismatches, [])

@@ -173,6 +173,9 @@ class KTEngine:
             e = self.ring_one() - one_minus_e  # e^{-alpha_k}
             col: dict[WeylElement, RingElt] = {}
             for x, val in cols[w.left_mult_gen(k)].items():
+                # keep ``bound``: without it 737 of B4's moves take the tuple path (2.15-2.76 s against
+                # 1.56-2.00 s, Python 3.11 on 2 vCPUs), and re-bounding at the field edge instead leaves loose
+                # bounds that start exact_divide's Newton-box check early (table D4/{1,3,4}: 10.29 s, not 9.32 s)
                 t = repring.simple_reflection(val, datum, k, bound)
                 if x.has_left_descent(k):
                     accumulate(col, x, e * t)
@@ -279,16 +282,14 @@ class KTEngine:
 
     # -- functoriality ------------------------------------------------------------
 
-    def divided_difference(self, e: SchubertExpansion, k: int, opposite: bool = False) -> SchubertExpansion:
-        """Coefficientwise Hecke move of the basis indices: O^w -> O^{w_k}
-        (or O_w -> O_{w^k} on the opposite basis)."""
+    def divided_difference(self, e: SchubertExpansion, k: int) -> SchubertExpansion:
+        """Coefficientwise Hecke move of the basis indices: O^w -> O^{w_k}."""
         self._require_on(e, "divided_difference")
         if not weyl.is_k_free(self.datum, e.parabolic, k):
             raise ValueError(f"divided difference needs a k-free parabolic (k={k})")
-        move = weyl.hecke_up if opposite else weyl.hecke_down
         out: dict[WeylElement, RingElt] = {}
         for w, cw in e.coeffs.items():
-            accumulate(out, move(w, k), cw)
+            accumulate(out, weyl.hecke_down(w, k), cw)
         return SchubertExpansion(self.datum, out, e.parabolic)
 
     def pushforward(self, e: SchubertExpansion, bigger) -> SchubertExpansion:

@@ -223,12 +223,12 @@ def resolve_group(name: str) -> CartanDatum:
         return named_datum(name)
     except CartanError:
         pass
-    import os
-
-    if os.path.exists(name):
-        with open(name, encoding="utf-8") as fh:
-            return parse_cartan_file(fh.read(), label=name)
-    raise CartanError(f"{name!r} is neither a type label nor a readable file")
+    try:
+        fh = open(name, encoding="utf-8")
+    except OSError:  # missing, a directory or unreadable
+        raise CartanError(f"{name!r} is neither a type label nor a readable file") from None
+    with fh:
+        return parse_cartan_file(fh.read(), label=name)
 
 
 # -- queries -----------------------------------------------------------------

@@ -57,27 +57,27 @@ def admissible_configs(datum):
                     yield frozenset(p), k
 
 
-def test_criterion_01_golden_sl3(engine):
+def test_criterion_01_golden_sl3():
     t0 = time.perf_counter()
-    res = check_golden_fixture("A2", engine("A2"))
+    res = check_golden_fixture("A2")
     elapsed = time.perf_counter() - t0
     ok = res.passed and res.rows_checked == 15 and elapsed < 1.0
     report(1, "golden SL3 table", ok, f"{res.rows_checked} rows, {elapsed:.2f}s, "
            f"{len(res.corrections_used)} documented misprint correction(s)")
 
 
-def test_criterion_02_golden_sp4(engine):
+def test_criterion_02_golden_sp4():
     t0 = time.perf_counter()
-    res = check_golden_fixture("C2", engine("C2"))
+    res = check_golden_fixture("C2")
     elapsed = time.perf_counter() - t0
     ok = res.passed and res.rows_checked == 28 and elapsed < 5.0
     report(2, "golden Sp4 table", ok, f"{res.rows_checked} rows, {elapsed:.2f}s")
 
 
-def test_criterion_03_classical_cross_check(engine):
+def test_criterion_03_classical_cross_check():
     bad = []
     for label in ("A2", "C2"):
-        res = check_classical_fixture(label, engine(label))
+        res = check_classical_fixture(label)
         if not res.passed:
             bad.append((label, res.mismatches[:2]))
     report(3, "classical q^0 cross-check", not bad, "both tables, quantum layer bypassed")

@@ -8,24 +8,32 @@ from qkline.golden import check_classical_fixture, check_golden_fixture, load_fi
 from qkline.qklines import QKProduct
 
 
-def test_golden_sl3_passes(engine):
-    res = check_golden_fixture("A2", engine("A2"))
+def test_golden_sl3_passes():
+    res = check_golden_fixture("A2")
     assert res.passed, res.mismatches
     assert res.rows_checked == 15  # 9 stored rows + 6 symmetry completions
     assert res.corrections_used == [("121", "121", 2, "21")]
 
 
-def test_golden_sp4_passes(engine):
-    res = check_golden_fixture("C2", engine("C2"))
+def test_golden_sp4_passes():
+    res = check_golden_fixture("C2")
     assert res.passed, res.mismatches
     assert res.rows_checked == 28
     assert res.corrections_used == []
 
 
-def test_classical_parts_pass(engine):
+def test_classical_parts_pass():
     for label in ("A2", "C2"):
-        res = check_classical_fixture(label, engine(label))
+        res = check_classical_fixture(label)
         assert res.passed, res.mismatches
+
+
+def test_golden_checks_take_no_engine(engine):
+    # each check builds its engine on the fixture's own datum, so a foreign
+    # engine cannot be compared against it
+    for check in (check_golden_fixture, check_classical_fixture):
+        with pytest.raises(TypeError):
+            check("A2", engine("C2"))
 
 
 def test_fixture_rows_cover_all_pairs(engine):
@@ -37,42 +45,42 @@ def test_fixture_rows_cover_all_pairs(engine):
         assert expected == len(els) * (len(els) + 1) // 2
 
 
-def test_comparator_detects_tampering(engine, monkeypatch):
+def test_comparator_detects_tampering(monkeypatch):
     fixture = copy.deepcopy(load_fixture("C2"))
     fixture["rows"][0]["classical"]["1"] = "1-e(-a2)"
     monkeypatch.setattr(golden, "load_fixture", lambda group: fixture)
-    res = check_golden_fixture("C2", engine("C2"))
+    res = check_golden_fixture("C2")
     assert not res.passed
     assert any(m[0] == "1" and m[2] == "classical" for m in res.mismatches)
 
 
-def test_symmetry_consistency_guards_fixture(engine, monkeypatch):
+def test_symmetry_consistency_guards_fixture(monkeypatch):
     # breaking one half of a mirror-symmetric pair is caught before comparison
     fixture = copy.deepcopy(load_fixture("A2"))
     assert fixture["rows"][1]["u"] == "1" and fixture["rows"][1]["v"] == "2"
     fixture["rows"][1]["classical"]["12"] = "2"
     monkeypatch.setattr(golden, "load_fixture", lambda group: fixture)
     with pytest.raises(ValueError, match="symmetry-consistent"):
-        check_golden_fixture("A2", engine("A2"))
+        check_golden_fixture("A2")
 
 
-def test_misprint_entry_must_match_row(engine, monkeypatch):
+def test_misprint_entry_must_match_row(monkeypatch):
     fixture = copy.deepcopy(load_fixture("A2"))
     fixture["misprints"][0]["printed"] = "e(-a1)"
     monkeypatch.setattr(golden, "load_fixture", lambda group: fixture)
     with pytest.raises(ValueError, match="misprint"):
-        check_golden_fixture("A2", engine("A2"))
+        check_golden_fixture("A2")
 
 
-def test_misprint_entry_must_change_the_value(engine, monkeypatch):
+def test_misprint_entry_must_change_the_value(monkeypatch):
     fixture = copy.deepcopy(load_fixture("A2"))
     fixture["misprints"][0]["consistent"] = fixture["misprints"][0]["printed"]
     monkeypatch.setattr(golden, "load_fixture", lambda group: fixture)
     with pytest.raises(ValueError, match="misprint entry does not change the value; remove it"):
-        check_golden_fixture("A2", engine("A2"))
+        check_golden_fixture("A2")
 
 
-def test_comparator_reports_a_fixture_node_the_engine_skipped(engine, monkeypatch):
+def test_comparator_reports_a_fixture_node_the_engine_skipped(monkeypatch):
     real = golden.qk_product_degree1
 
     def skipping_every_node(*args):
@@ -80,7 +88,7 @@ def test_comparator_reports_a_fixture_node_the_engine_skipped(engine, monkeypatc
         return QKProduct(prod.u, prod.v, prod.classical, {}, (1, 2))
 
     monkeypatch.setattr(golden, "qk_product_degree1", skipping_every_node)
-    res = check_golden_fixture("C2", engine("C2"))
+    res = check_golden_fixture("C2")
     assert ("1", "1", "q1", "*", "expected terms", "node skipped") in res.mismatches
     assert not res.passed and all(m[3] == "*" for m in res.mismatches)
 
@@ -357,6 +365,13 @@ def test_cli_cartan_file_reads_ascii_integers(tmp_path, capsys, text, named):
     code, out, err = run_cli(capsys, "neighborhood", "X", "--group", str(path), "--u", "2", "--k", "1")
     assert code == 2 and out == ""
     assert named in err
+
+
+def test_cli_refuses_a_directory_as_group(tmp_path, capsys):
+    # open() raised IsADirectoryError past the CLI: a traceback and exit 1, the code of a failed check
+    code, out, err = run_cli(capsys, "table", "--group", str(tmp_path))
+    assert code == 2 and out == ""
+    assert "neither a type label nor a readable file" in err
 
 
 def test_cli_refuses_a_ragged_cartan_file(tmp_path, capsys):

@@ -88,6 +88,19 @@ def test_triangularity_and_diagonal(engine):
             assert cls.value(v) == e.diagonal_value(v)
 
 
+def test_full_flag_classes_at_b4_size():
+    # no other test builds the full-flag classes of a group past B3 or D4; 384 points here
+    e = KTEngine(named_datum("B4"))
+    els = e.W.elements()
+    assert len(els) == 384
+    for v in els:
+        cls = e.schubert_class(v)
+        assert cls.value(v) == e.diagonal_value(v), v.word_str
+        assert all(weyl.bruhat_leq(v, x) for x in cls.restrictions), v.word_str
+    for v in (e.W.simple(1), e.W.simple(4), e.W.longest()):
+        assert not e.gkm_violations(e.schubert_class(v)), v.word_str
+
+
 def test_diagonal_formula_via_inversions(engine):
     e = engine("C2")
     w0 = e.W.longest()
@@ -353,15 +366,6 @@ def test_divided_difference_examples(engine):
     assert twice.coeffs == lin.coeffs
     with pytest.raises(ValueError):
         e.divided_difference(SchubertExpansion(e.datum, {s1: one}, frozenset({2})), 1)
-
-
-def test_divided_difference_opposite_basis(engine):
-    e = engine("A2")
-    from qkline.ktheory import SchubertExpansion
-
-    w = e.W.simple(2)
-    moved = e.divided_difference(SchubertExpansion(e.datum, {w: e.ring_one()}), 1, opposite=True)
-    assert moved.coeffs == {e.W.parse_word("21"): e.ring_one()}
 
 
 def test_pushforward_pullback(engine):
